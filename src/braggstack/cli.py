@@ -3,13 +3,12 @@
 Subcommands: spectrum, scan-lattice, scan-atoms, profile, bands, powers,
 verify.  Each reads the run configuration (all units explicit, defaults
 echoed into output metadata) and writes CSV tables and optional SVG plots
-whose bytes are identical across runs and thread counts.
+whose bytes are identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -18,8 +17,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, default_config_text, parse_config
 from .engine import field_profile, scatter, chain_matrix
-from .experiments import band_structure, detected_powers, lattice_constant_scan, \
-    saturation_scan, spectrum, sweep_scatter
+from .experiments import atom_number_to_density, band_structure, detected_powers, \
+    lattice_constant_scan, saturation_scan, spectrum, sweep_scatter
 from .svgplot import Series, render_svg, spectrum_series, write_svg
 from .tableio import write_csv, write_spectrum_csv
 from .verify import run_verification
@@ -38,17 +37,6 @@ def _out_dir(args) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     return out
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("BRAGGSTACK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SystemExit(f"BRAGGSTACK_THREADS must be an integer, got {env!r}")
-    return 1
-
 
 def _echo_metadata(run: RunConfig) -> dict:
     return dict(run.echo)
@@ -60,7 +48,7 @@ def cmd_spectrum(args) -> int:
     chain = run.build_chain()
     grid = run.scan.detuning_grid()
     table = spectrum(chain, grid, run.response, run.geometry,
-                     metadata=_echo_metadata(run), threads=_threads(args))
+                     metadata=_echo_metadata(run))
     csv_path = out / f"{run.scan.out}.csv"
     write_spectrum_csv(table, csv_path)
     print(f"wrote {csv_path}")
@@ -80,10 +68,9 @@ def cmd_scan_lattice(args) -> int:
     grid = run.scan.detuning_grid()
     tables = lattice_constant_scan(
         run.scan.delta_lambdas, run.build_chain, grid, run.response,
-        run.geometry, threads=_threads(args))
+        run.geometry)
     for dl, table in zip(run.scan.delta_lambdas, tables):
         table.metadata.update(_echo_metadata(run))
-        table.metadata["delta_lambda_nm"] = f"{dl * 1e9:.6g}"
         path = out / f"{run.scan.out}_dl{dl * 1e9:+.3f}nm.csv"
         write_spectrum_csv(table, path)
         print(f"wrote {path}")
@@ -101,9 +88,7 @@ def cmd_scan_atoms(args) -> int:
     numbers, max_r = saturation_scan(
         run.scan.atom_numbers(), run.geometry, run.response,
         n_s=run.model.n_s, f_dw=run.model.f_dw, n_ss=run.model.n_ss,
-        delta_over_gamma=run.scan.detuning_grid(), threads=_threads(args))
-    from .experiments import atom_number_to_density
-
+        delta_over_gamma=run.scan.detuning_grid())
     densities = np.array([atom_number_to_density(n, run.geometry)
                           for n in numbers])
     path = out / f"{run.scan.out}_saturation.csv"
@@ -167,7 +152,7 @@ def cmd_powers(args) -> int:
     chain = run.build_chain()
     grid = run.scan.detuning_grid()
     res = sweep_scatter(chain, grid * run.response.gamma, run.response,
-                        run.geometry, threads=_threads(args))
+                        run.geometry)
     reading = detected_powers(res, run.scan.eta, run.scan.p_i)
     meta = _echo_metadata(run)
     path = out / f"{run.scan.out}_powers.csv"
@@ -205,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run configuration file (defaults used if omitted)")
     common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current directory)")
-    common.add_argument("--threads", metavar="N", type=int, default=None,
-                        help="worker threads for sweeps "
-                             "(default: $BRAGGSTACK_THREADS or 1)")
     common.add_argument("--svg", action="store_true",
                         help="also write an SVG quick-look plot")
 

@@ -47,10 +47,9 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .engine import SlabChain
-from .geometry import LatticeGeometry, bragg_angle
+from .geometry import LatticeGeometry, bragg_angle, hbar, k_B
 from .models import ThermalModelConfig, perfect_lattice, sequential_lattice, \
     two_component_lattice, POTENTIAL_FORMS
 from .response import AtomResponseConfig, SpectralLine, rb85_d2_f3_lines

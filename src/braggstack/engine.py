@@ -141,8 +141,8 @@ def gap_matrix(dz: float, k_brg: float, beta_i: float) -> TransferMatrix:
 def matmul2(a: TransferMatrix, b: TransferMatrix) -> TransferMatrix:
     """Broadcasting 2x2 product via the explicit formula.
 
-    Written out elementwise so that grid partitions multiply bitwise
-    identically to the full-array call (deterministic parallel sweeps).
+    Written out elementwise so that grid chunks multiply bitwise identically
+    to the full-array call (deterministic chunked sweeps).
     """
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     out = np.empty(shape + (2, 2), dtype=complex)

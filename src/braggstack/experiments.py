@@ -1,16 +1,15 @@
 """High-level scans, detected-power mapping and the boundary-value oracle.
 
 Spectra are computed on detuning grids expressed in units of the linewidth.
-Sweeps may be partitioned over worker threads; the per-point arithmetic is
-elementwise, so partition boundaries and thread counts never change a single
-bit of the output.
+Wide grids are swept serially in chunks of GRID_CHUNK points, which keeps the
+(chunk, 2, 2) matrix stacks in cache; the per-point arithmetic is elementwise,
+so chunk boundaries never change a single bit of the output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -26,6 +25,7 @@ from .response import AtomResponseConfig, zeta
 
 DEFAULT_GRID = (-40.0, 15.0, 1101)
 FILLED_PERIODS = 10_000  # antinodes populated in the reference trap
+GRID_CHUNK = 4096  # grid points per engine call in a sweep
 
 
 def detuning_grid(start: float = DEFAULT_GRID[0], stop: float = DEFAULT_GRID[1],
@@ -55,54 +55,59 @@ class SpectrumTable:
             raise ValueError("detuning grid must be strictly increasing")
 
 
-def _partition(n: int, parts: int):
-    edges = np.linspace(0, n, parts + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def _located(fn, delta: np.ndarray, offset: int):
+    """fn(delta); an EngineError is re-raised naming the first failing point.
+
+    Only this slice is re-evaluated, point by point; `offset` is the global
+    grid index of its first point.
+    """
+    try:
+        return fn(delta)
+    except EngineError as exc:
+        for i, d in enumerate(np.atleast_1d(delta), offset):
+            try:
+                fn(d)
+            except EngineError:
+                raise type(exc)(
+                    f"{exc} [first failing grid point: index {i}, "
+                    f"delta = {d:.6g} rad/s]") from exc
+        raise
 
 
-def _locate_engine_failure(chain, delta, cfg, geom, exc):
-    """Re-raise an engine error annotated with the first failing grid point."""
-    for i, d in enumerate(np.atleast_1d(delta)):
-        try:
-            scatter(chain_matrix(chain, float(d), cfg, geom))
-        except EngineError:
-            raise type(exc)(
-                f"{exc} [first failing grid point: index {i}, "
-                f"delta = {d:.6g} rad/s]") from exc
-    raise exc
+def _chunked(fn, delta: np.ndarray):
+    """fn over a detuning grid in slices of at most GRID_CHUNK points.
+
+    fn is elementwise over the grid, so the parts joined in grid order carry
+    the same bits as fn(delta).  Scalar, short and multi-dimensional grids
+    are one call.
+    """
+    if delta.ndim != 1 or delta.size <= GRID_CHUNK:
+        return _located(fn, delta, 0)
+    parts = [_located(fn, delta[i:i + GRID_CHUNK], i)
+             for i in range(0, delta.size, GRID_CHUNK)]
+    if isinstance(parts[0], ScatterResult):
+        return ScatterResult(*[np.concatenate([getattr(p, f.name) for p in parts])
+                               for f in fields(ScatterResult)])
+    return np.concatenate(parts)
 
 
 def sweep_scatter(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
-                  geom: LatticeGeometry, threads: int = 1) -> ScatterResult:
-    """Scatter coefficients over a detuning grid (rad/s), optionally threaded.
+                  geom: LatticeGeometry) -> ScatterResult:
+    """Scatter coefficients over a detuning grid (rad/s), swept in chunks.
 
-    Results are reassembled in grid order, so the output is identical for any
-    thread count.  Engine failures are re-reported with the offending grid
-    point.
+    Engine failures are re-reported with the offending grid point.
     """
-    delta = np.asarray(delta, dtype=float)
-    try:
-        if threads <= 1 or delta.size < 8:
-            return scatter(chain_matrix(chain, delta, cfg, geom))
-        spans = _partition(delta.size, threads)
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(pool.map(
-                lambda span: scatter(chain_matrix(chain, delta[span[0]:span[1]],
-                                                  cfg, geom)), spans))
-        return ScatterResult(*[np.concatenate([getattr(p, f) for p in parts])
-                               for f in ("r", "t", "big_r", "big_t", "big_a", "phi")])
-    except EngineError as exc:
-        _locate_engine_failure(chain, delta, cfg, geom, exc)
+    return _chunked(lambda d: scatter(chain_matrix(chain, d, cfg, geom)),
+                    np.asarray(delta, dtype=float))
 
 
 def spectrum(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
-             geom: LatticeGeometry, metadata: dict | None = None,
-             threads: int = 1) -> SpectrumTable:
+             geom: LatticeGeometry, metadata: dict | None = None) -> SpectrumTable:
     """One ScatterResult per grid point, tabulated with run metadata."""
     grid = np.asarray(delta_over_gamma, dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
-    res = sweep_scatter(chain, grid * cfg.gamma, cfg, geom, threads=threads)
+    res = sweep_scatter(chain, grid * cfg.gamma, cfg, geom)
     meta = {
         "engine_version": __version__,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -132,7 +137,7 @@ def atom_number_to_density(n_atoms: float, geom: LatticeGeometry,
 
 def saturation_scan(atom_numbers, geom: LatticeGeometry, cfg: AtomResponseConfig,
                     n_s: int = 400, f_dw: float = 0.2, n_ss: int = 10,
-                    delta_over_gamma=None, threads: int = 1):
+                    delta_over_gamma=None):
     """Peak reflection versus atom number for a fixed trap geometry.
 
     Returns (atom_numbers, max_R) arrays; the two-component disorder model is
@@ -149,14 +154,14 @@ def saturation_scan(atom_numbers, geom: LatticeGeometry, cfg: AtomResponseConfig
             continue
         density = atom_number_to_density(n_atoms, geom)
         chain = two_component_lattice(density, f_dw, n_s, n_ss, geom)
-        res = sweep_scatter(chain, grid * cfg.gamma, cfg, geom, threads=threads)
+        res = sweep_scatter(chain, grid * cfg.gamma, cfg, geom)
         max_r[i] = float(np.max(res.big_r))
     return numbers, max_r
 
 
 def lattice_constant_scan(delta_lambda_values, build_chain, delta_over_gamma,
-                          cfg: AtomResponseConfig, base_geom: LatticeGeometry,
-                          threads: int = 1) -> list[SpectrumTable]:
+                          cfg: AtomResponseConfig,
+                          base_geom: LatticeGeometry) -> list[SpectrumTable]:
     """Family of spectra for lattice constants detuned off the Bragg condition.
 
     `build_chain(geom)` constructs the model chain for each adjusted geometry;
@@ -169,36 +174,37 @@ def lattice_constant_scan(delta_lambda_values, build_chain, delta_over_gamma,
         chain = build_chain(geom)
         tables.append(spectrum(chain, delta_over_gamma, cfg, geom,
                                metadata={"delta_lambda_nm": f"{dl * 1e9:.6g}",
-                                         "label": f"dl={dl * 1e9:.3g} nm"},
-                               threads=threads))
+                                         "label": f"dl={dl * 1e9:.3g} nm"}))
     return tables
 
 
 def radial_average(n_peak: float, sigma_r: float, n_rings: int, build_chain,
                    delta_over_gamma, cfg: AtomResponseConfig,
-                   geom: LatticeGeometry, radial_extent: float = 2.5,
-                   threads: int = 1) -> SpectrumTable:
+                   geom: LatticeGeometry, radial_extent: float = 2.5) -> SpectrumTable:
     """Area-weighted average of spectra over the Gaussian radial profile.
 
     The disk of radius radial_extent*sigma_r is split into n_rings equal-area
     annuli; each ring contributes the spectrum computed at its inner-edge
     density n_peak * exp(-rho^2 / 2 sigma_r^2).  `build_chain(n)` maps a
-    density to the model chain.
+    density to the model chain.  phi is the phase of the ring-averaged
+    reflection amplitude sqrt(R_k) exp(i phi_k), not a mean of phases.
     """
     if n_rings < 1:
         raise ValueError("n_rings must be >= 1")
     grid = np.asarray(delta_over_gamma, dtype=float)
     rho_max = radial_extent * sigma_r
     acc = None
+    r_sum = 0.0
     for k in range(n_rings):
         rho = rho_max * math.sqrt(k / n_rings)
         density = n_peak if not math.isfinite(sigma_r) else \
             n_peak * math.exp(-rho**2 / (2.0 * sigma_r**2))
-        table = spectrum(build_chain(density), grid, cfg, geom, threads=threads)
-        cols = np.stack([table.R, table.T, table.A, table.phi])
+        table = spectrum(build_chain(density), grid, cfg, geom)
+        cols = np.stack([table.R, table.T, table.A])
         acc = cols if acc is None else acc + cols
+        r_sum = r_sum + np.sqrt(table.R) * np.exp(1j * table.phi)
     acc /= n_rings
-    return SpectrumTable(grid, acc[0], acc[1], acc[2], acc[3],
+    return SpectrumTable(grid, acc[0], acc[1], acc[2], np.angle(r_sum),
                          metadata={"radial_rings": str(n_rings),
                                    "n_peak": f"{n_peak:.6g}"})
 
@@ -311,8 +317,9 @@ def band_structure(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
     unwrapped, Im theta >= 0).  Returns (theta, rho) arrays.
     """
     grid = np.asarray(delta_over_gamma, dtype=float)
-    cells = unit_cell_matrix(chain, grid * cfg.gamma, cfg, geom)
-    theta = np.atleast_1d(bloch_phase(cells))
+    theta = np.atleast_1d(_chunked(
+        lambda d: bloch_phase(unit_cell_matrix(chain, d, cfg, geom)),
+        grid * cfg.gamma))
     theta = np.unwrap(theta.real) + 1j * theta.imag
     rho = density_of_states(grid, theta)
     return theta, rho

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.constants import hbar, k as k_B
+hbar = 1.0545718176461565e-34  # J s: h / 2 pi with the exact SI value of h
+k_B = 1.380649e-23  # J/K: exact SI value
 
 
 def bragg_angle(lambda_brg: float, lambda_dip: float) -> float:

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .engine import SlabChain
-from .geometry import LatticeGeometry
+from .geometry import LatticeGeometry, hbar, k_B
 
 POTENTIAL_FORMS = ("harmonic", "sinusoidal")
 

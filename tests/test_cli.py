@@ -38,28 +38,18 @@ def test_spectrum_command(tmp_path, config_path, capsys):
     assert (out / "run.svg").exists()
 
 
-def test_spectrum_deterministic_across_runs_and_threads(tmp_path, config_path):
+def test_spectrum_deterministic_across_runs(tmp_path, config_path):
     outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "3")):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
         assert main(["spectrum", "--config", str(config_path),
-                     "--out", str(out), "--svg", "--threads", threads]) == 0
+                     "--out", str(out), "--svg"]) == 0
         outs.append(out)
     ref_csv = (outs[0] / "run.csv").read_bytes()
     ref_svg = (outs[0] / "run.svg").read_bytes()
     for out in outs[1:]:
         assert (out / "run.csv").read_bytes() == ref_csv
         assert (out / "run.svg").read_bytes() == ref_svg
-
-
-def test_threads_env_fallback(tmp_path, config_path, monkeypatch):
-    monkeypatch.setenv("BRAGGSTACK_THREADS", "2")
-    out = tmp_path / "env"
-    assert main(["spectrum", "--config", str(config_path), "--out", str(out)]) == 0
-    monkeypatch.setenv("BRAGGSTACK_THREADS", "1")
-    out2 = tmp_path / "env1"
-    assert main(["spectrum", "--config", str(config_path), "--out", str(out2)]) == 0
-    assert (out / "run.csv").read_bytes() == (out2 / "run.csv").read_bytes()
 
 
 def test_scan_lattice_command(tmp_path, config_path):

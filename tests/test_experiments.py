@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import braggstack as bs
+from braggstack.experiments import GRID_CHUNK
 
 
 def test_spectrum_zero_density(cfg, geom):
@@ -24,15 +25,6 @@ def test_spectrum_sum_rule_exact(cfg, geom):
     assert np.all(table.A >= -1e-9)
 
 
-def test_spectrum_threaded_bitwise_identical(cfg, geom):
-    chain = bs.two_component_lattice(3e17, 0.2, 200, 8, geom)
-    grid = bs.detuning_grid(-8, 8, 257)
-    one = bs.spectrum(chain, grid, cfg, geom, threads=1)
-    four = bs.spectrum(chain, grid, cfg, geom, threads=4)
-    np.testing.assert_array_equal(one.R, four.R)
-    np.testing.assert_array_equal(one.phi, four.phi)
-
-
 def test_spectrum_rejects_empty_grid(cfg, geom):
     with pytest.raises(ValueError):
         bs.spectrum(bs.perfect_lattice(3e17, 2, geom), np.array([]), cfg, geom)
@@ -47,6 +39,63 @@ def test_spectrum_reports_offending_grid_point(cfg, geom):
     grid = bs.detuning_grid(-40, 15, 23)
     with pytest.raises(bs.OverflowGuardError, match=r"grid point: index \d+"):
         bs.spectrum(chain, grid, cfg, g8)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# more than two chunks, the last one ragged
+WIDE_GRID = bs.detuning_grid(-40, 15, 2 * GRID_CHUNK + 123)
+
+
+@pytest.mark.parametrize("stark", [False, True])
+def test_sweep_chunks_match_full_array_bitwise(cfg, geom, stark):
+    chain = bs.sequential_lattice(bs.ThermalModelConfig(
+        n=3e17, n_s=600, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=stark), geom)
+    delta = WIDE_GRID * cfg.gamma
+    chunked = bs.sweep_scatter(chain, delta, cfg, geom)
+    full = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
+    for name in ("r", "t", "big_r", "big_t", "big_a", "phi"):
+        assert _same_bits(getattr(chunked, name), getattr(full, name)), name
+
+
+def test_band_structure_chunks_match_full_array_bitwise(cfg, geom):
+    chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
+    theta, rho = bs.band_structure(chain, WIDE_GRID, cfg, geom)
+    ref = np.atleast_1d(bs.bloch_phase(
+        bs.unit_cell_matrix(chain, WIDE_GRID * cfg.gamma, cfg, geom)))
+    ref = np.unwrap(ref.real) + 1j * ref.imag
+    assert _same_bits(theta, ref)
+    assert _same_bits(rho, bs.density_of_states(WIDE_GRID, ref))
+
+
+def test_sweep_scalar_detuning_gives_scalar_result(cfg, geom):
+    chain = bs.two_component_lattice(3e17, 0.2, 100, 8, geom)
+    res = bs.sweep_scatter(chain, 0.5 * cfg.gamma, cfg, geom)
+    assert isinstance(res.r, complex) and isinstance(res.big_r, float)
+    assert res == bs.scatter(bs.chain_matrix(chain, 0.5 * cfg.gamma, cfg, geom))
+
+
+def test_sweep_reports_global_grid_index_past_first_chunk(cfg, geom):
+    # the first chunk passes; the failure sits in the second one and must be
+    # reported by its index in the whole grid
+    g8 = geom.with_lattice_mismatch(0.8e-9)
+    chain = bs.perfect_lattice(3e17, 20_000, g8)
+    tail = bs.detuning_grid(-40, 15, 23)
+    first_bad = None
+    for i, d in enumerate(tail):
+        try:
+            bs.scatter(bs.chain_matrix(chain, d * cfg.gamma, cfg, g8))
+        except bs.OverflowGuardError:
+            first_bad = i
+            break
+    assert first_bad is not None
+    grid = np.concatenate([np.full(GRID_CHUNK + 5, -40.0), tail])
+    with pytest.raises(bs.OverflowGuardError,
+                       match=rf"grid point: index {GRID_CHUNK + 5 + first_bad},"):
+        bs.sweep_scatter(chain, grid * cfg.gamma, cfg, g8)
 
 
 def test_oracle_matches_engine_on_random_chains(cfg, geom):
@@ -170,6 +219,30 @@ def test_radial_average_softens_dip(cfg, geom):
         return table.R[iside] - table.R[i0]
 
     assert dip_contrast(avg) < dip_contrast(plain)
+
+
+def test_radial_average_phase_is_phase_of_mean_amplitude(cfg, geom):
+    grid = bs.detuning_grid(-8, 8, 161)
+    build = lambda n: bs.two_component_lattice(n, 0.2, 600, 20, geom)
+    sigma_r = geom.derived().sigma_r
+    n_rings = 8
+    avg = bs.radial_average(3e17, sigma_r, n_rings, build, grid, cfg, geom)
+    rings = []
+    for k in range(n_rings):
+        rho = 2.5 * sigma_r * math.sqrt(k / n_rings)
+        rings.append(bs.spectrum(
+            build(3e17 * math.exp(-rho**2 / (2.0 * sigma_r**2))), grid, cfg, geom))
+    big_r = sum(t.R for t in rings) / n_rings
+    assert _same_bits(avg.R, big_r)
+    r_mean = sum(np.sqrt(t.R) * np.exp(1j * t.phi) for t in rings) / n_rings
+    np.testing.assert_allclose(np.exp(1j * avg.phi), r_mean / np.abs(r_mean),
+                               rtol=0, atol=1e-12)
+    # at -0.1 Gamma the ring phases straddle the branch cut (-3.13 .. 3.03);
+    # their arithmetic mean (0.75 rad) points nowhere near the mean amplitude
+    i = int(np.argmin(np.abs(grid + 0.1)))
+    phases = [t.phi[i] for t in rings]
+    assert max(phases) - min(phases) > math.pi
+    assert avg.phi[i] == pytest.approx(3.113, abs=1e-3)
 
 
 def test_band_structure_stop_band_and_dos(cfg1, geom):
