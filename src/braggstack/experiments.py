@@ -1,9 +1,11 @@
 """High-level scans, detected-power mapping and the boundary-value oracle.
 
 Spectra are computed on detuning grids expressed in units of the linewidth.
-Wide grids are swept serially in chunks of GRID_CHUNK points, which keeps the
-(chunk, 2, 2) matrix stacks in cache; the per-point arithmetic is elementwise,
-so chunk boundaries never change a single bit of the output.
+Wide grids are swept serially in ceil(N / GRID_CHUNK) near-equal slices,
+which keeps the (slice, 2, 2) matrix stacks in cache.  No slice is narrower
+than GRID_CHUNK // 2 points, so each takes the engine's slab-by-slab product
+like the whole grid does; the per-point arithmetic is elementwise, so slice
+boundaries never change a single bit of the output.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .response import AtomResponseConfig, zeta
 
 DEFAULT_GRID = (-40.0, 15.0, 1101)
 FILLED_PERIODS = 10_000  # antinodes populated in the reference trap
-GRID_CHUNK = 4096  # grid points per engine call in a sweep
+GRID_CHUNK = 4096  # most grid points per engine call in a sweep
 
 
 def detuning_grid(start: float = DEFAULT_GRID[0], stop: float = DEFAULT_GRID[1],
@@ -75,16 +77,20 @@ def _located(fn, delta: np.ndarray, offset: int):
 
 
 def _chunked(fn, delta: np.ndarray):
-    """fn over a detuning grid in slices of at most GRID_CHUNK points.
+    """fn over a detuning grid in ceil(N / GRID_CHUNK) near-equal slices.
 
-    fn is elementwise over the grid, so the parts joined in grid order carry
-    the same bits as fn(delta).  Scalar, short and multi-dimensional grids
-    are one call.
+    No slice is narrower than GRID_CHUNK // 2 points, so every slice takes
+    the same slab-by-slab product as the whole grid (engine.BLOCK_POINTS);
+    fn is then elementwise over the grid and the parts joined in grid order
+    carry the same bits as fn(delta).  Scalar, short and multi-dimensional
+    grids are one call.
     """
     if delta.ndim != 1 or delta.size <= GRID_CHUNK:
         return _located(fn, delta, 0)
-    parts = [_located(fn, delta[i:i + GRID_CHUNK], i)
-             for i in range(0, delta.size, GRID_CHUNK)]
+    slices = math.ceil(delta.size / GRID_CHUNK)
+    bounds = [k * delta.size // slices for k in range(slices + 1)]
+    parts = [_located(fn, delta[lo:hi], lo)
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
     if isinstance(parts[0], ScatterResult):
         return ScatterResult(*[np.concatenate([getattr(p, f.name) for p in parts])
                                for f in fields(ScatterResult)])

@@ -244,3 +244,117 @@ def test_slab_chain_validation():
         bs.SlabChain([1.0], [0.0], [0.0], periods=0)
     with pytest.raises(ValueError):
         bs.SlabChain([1.0, 2.0], [0.0], [0.0])
+
+
+def test_slab_zetas_equal_per_slab_zeta_bitwise(cfg, geom):
+    # one Lorentzian sum per distinct Stark shift, same bits as per slab
+    stark = bs.sequential_lattice(bs.ThermalModelConfig(
+        n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
+    two = bs.two_component_lattice(3e17, 0.2, 4, 20, geom)
+    assert np.unique(stark.stark_shift).size > 1
+    for chain in (stark, two):
+        for delta in (bs.detuning_grid() * cfg.gamma, 0.7 * cfg.gamma):
+            got = bs.engine._slab_zetas(chain, delta, cfg)
+            want = np.stack([np.asarray(bs.zeta(sd, np.asarray(delta) - st, cfg))
+                             for sd, st in zip(chain.surface_density,
+                                               chain.stark_shift)])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_unit_cell_matrix_on_default_grid_is_sequential_fold_bitwise(cfg, geom):
+    # 1101 points is wider than BLOCK_POINTS / 2: slab by slab, gap after slab
+    stark = bs.sequential_lattice(bs.ThermalModelConfig(
+        n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
+    delta = bs.detuning_grid() * cfg.gamma
+    assert 2 * delta.size > bs.engine.BLOCK_POINTS
+    for chain in (stark, bs.two_component_lattice(3e17, 0.2, 4, 20, geom)):
+        m = bs.identity_matrix(delta.shape)
+        for sd, st, g in zip(chain.surface_density, chain.stark_shift,
+                             chain.gap_after):
+            m = bs.matmul2(m, bs.layer_matrix(bs.zeta(sd, delta - st, cfg)))
+            m = bs.matmul2(m, bs.gap_matrix(g, geom.k_brg, geom.beta_i))
+        assert bs.unit_cell_matrix(chain, delta, cfg, geom).tobytes() == m.tobytes()
+
+
+def _disordered_flat_chain(rng, geom):
+    base = bs.two_component_lattice(3e17, 0.2, 900, 10, geom).repeated()
+    return bs.SlabChain(base.surface_density * rng.uniform(0.7, 1.3, base.n_slabs),
+                        base.stark_shift, base.gap_after)
+
+
+def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom, monkeypatch):
+    # one detuning over 9,900 disordered slabs takes the pairwise reduction
+    rng = np.random.default_rng(2024)
+    for delta in rng.uniform(-3, 3, 3) * cfg.gamma:
+        chain = _disordered_flat_chain(rng, geom)
+        pairwise = bs.chain_matrix(chain, delta, cfg, geom)
+        with monkeypatch.context() as mp:
+            mp.setattr(bs.engine, "BLOCK_POINTS", 1)
+            sequential = bs.chain_matrix(chain, delta, cfg, geom)
+        assert np.max(np.abs(pairwise - sequential)) <= \
+            1e-12 * np.max(np.abs(sequential))
+        res = bs.scatter(pairwise)
+        r_o, t_o = bs.solve_boundary_value(chain, delta, cfg, geom)
+        assert abs(res.r - r_o) < 1e-10 and abs(res.t - t_o) < 1e-10
+
+
+def _overflows(chain, delta, cfg, geom):
+    try:
+        bs.chain_matrix(chain, delta, cfg, geom)
+    except bs.OverflowGuardError:
+        return True
+    return False
+
+
+def test_pairwise_product_keeps_overflow_guard(cfg, geom):
+    # the flat 20,000-slab detuned lattice overflows on the pairwise path too
+    g8 = geom.with_lattice_mismatch(0.8e-9)
+    chain = bs.perfect_lattice(3e17, 20_000, g8)
+    delta = next(d for d in bs.detuning_grid(-40, 15, 23) * cfg.gamma
+                 if _overflows(chain, d, cfg, g8))
+    with pytest.raises(bs.OverflowGuardError):
+        bs.chain_matrix(chain.repeated(), delta, cfg, g8)
+
+
+def _reference_profile(chain, delta, samples_per_gap, r, cfg, geom):
+    """The per-slab field recurrence, one gap at a time."""
+    flat = chain.repeated()
+    k_z = geom.k_brg * math.cos(geom.beta_i)
+    e_plus, e_minus = 1.0 + 0.0j, r
+    zs, intensity = [np.array([0.0])], [np.array([abs(e_plus + e_minus) ** 2])]
+    z0 = 0.0
+    slab_z = np.atleast_1d(bs.zeta(flat.surface_density, delta - flat.stark_shift,
+                                   cfg))
+    fractions = np.arange(1, samples_per_gap + 1) / samples_per_gap
+    for j in range(flat.n_slabs):
+        iz = 1j * slab_z[j]
+        e_plus, e_minus = ((1.0 + iz) * e_plus + iz * e_minus,
+                           -iz * e_plus + (1.0 - iz) * e_minus)
+        g = flat.gap_after[j]
+        if g > 0.0:
+            s = fractions * g
+            phase = np.exp(1j * k_z * s)
+            zs.append(z0 + s)
+            intensity.append(np.abs(e_plus * phase + e_minus / phase) ** 2)
+            e_plus = e_plus * phase[-1]
+            e_minus = e_minus / phase[-1]
+            z0 += g
+    return np.concatenate(zs), np.concatenate(intensity)
+
+
+def test_field_profile_equals_reference_loop_bitwise(cfg, geom):
+    # 2,100 gapped slabs at 64 samples fill more than one vectorized block;
+    # the second chain has Stark shifts and zero gaps
+    stark = bs.sequential_lattice(bs.ThermalModelConfig(
+        n=3e17, n_s=30, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
+    stark = bs.SlabChain(stark.surface_density, stark.stark_shift,
+                         np.where(np.arange(stark.n_slabs) % 3 == 0, 0.0,
+                                  stark.gap_after), periods=30)
+    for chain, spg in ((bs.two_component_lattice(3e17, 0.2, 100, 20, geom), 64),
+                       (stark, 8)):
+        for delta in (0.0, -1.3 * cfg.gamma):
+            r = bs.scatter(bs.chain_matrix(chain.repeated(), delta, cfg, geom)).r
+            z, intensity = bs.field_profile(chain, delta, spg, cfg, geom)
+            z_ref, i_ref = _reference_profile(chain, delta, spg, r, cfg, geom)
+            assert z.tobytes() == z_ref.tobytes()
+            assert intensity.tobytes() == i_ref.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import braggstack as bs
-from braggstack.experiments import GRID_CHUNK
+from braggstack.experiments import GRID_CHUNK, _chunked
 
 
 def test_spectrum_zero_density(cfg, geom):
@@ -69,6 +69,25 @@ def test_band_structure_chunks_match_full_array_bitwise(cfg, geom):
     ref = np.unwrap(ref.real) + 1j * ref.imag
     assert _same_bits(theta, ref)
     assert _same_bits(rho, bs.density_of_states(WIDE_GRID, ref))
+
+
+def test_chunked_slices_are_balanced_and_bitwise(cfg, geom):
+    # GRID_CHUNK + 1 points split in two near-equal halves, not 4096 + 1: a
+    # one-point tail would take the engine's pairwise path and its bits
+    chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
+    delta = bs.detuning_grid(-40, 15, GRID_CHUNK + 1) * cfg.gamma
+    widths = []
+
+    def fn(d):
+        widths.append(d.size)
+        return bs.scatter(bs.chain_matrix(chain, d, cfg, geom))
+
+    chunked = _chunked(fn, delta)
+    assert sum(widths) == delta.size and len(widths) == 2
+    assert min(widths) >= GRID_CHUNK // 2
+    full = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
+    for name in ("r", "t", "big_r", "big_t", "big_a", "phi"):
+        assert _same_bits(getattr(chunked, name), getattr(full, name)), name
 
 
 def test_sweep_scalar_detuning_gives_scalar_result(cfg, geom):
