@@ -14,11 +14,13 @@ The chain product is accumulated left to right, first slab first; with the
 amplitude extraction r = M12/M22, t = 1/M22 this yields the reflection and
 transmission for a probe entering at slab index 0 with vacuum on both sides.
 A gap is applied as a scaling of the two columns of the running product,
-which is what the product with its diagonal matrix computes.  On grids
-narrower than BLOCK_POINTS / 2 points (a single detuning, say) the per-slab
-Python overhead dominates, so blocks of slabs are first reduced pairwise in
-log2 numpy calls and then folded into the running product; that reassociates
-the product, which moves results only by rounding.  Wider grids keep the
+which is what the product with its diagonal matrix computes.  At a single
+(0-d) detuning the per-slab Python overhead dominates, so blocks of
+BLOCK_SLABS slabs are first reduced pairwise in log2 numpy calls and then
+folded into the running product; that reassociates the product, which moves
+results only by rounding.  A block that trips the overflow guard is folded
+again slab by slab, so the error names the slab that the slab-by-slab
+product names.  Grids of any size, one point included, keep the
 slab-by-slab order and its bits.
 """
 
@@ -30,17 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeGeometry
-from .response import AtomResponseConfig, zeta
+from .response import AtomResponseConfig, line_response, zeta, zeta_prefactor
 
 TransferMatrix = np.ndarray  # (..., 2, 2) complex
 
 OVERFLOW_LIMIT = 1e12
-# Slab x grid points per block of a chain product.  On grids narrower than
-# half of this a block of slabs is reduced pairwise in log2 numpy calls,
-# which pays where per-slab Python overhead dominates (12,600 slabs: 1 point
-# 557 -> 5 ms, 256 points 945 -> 529 ms); the default 1101-point grid and
-# every GRID_CHUNK slice keep the slab-by-slab order and its bits.
-BLOCK_POINTS = 2048
+# Slabs per pairwise block of a chain product at a single detuning, where
+# per-slab Python overhead dominates.  Flat 13,200-slab chain, best of 5:
+# slab by slab 467 ms; blocks of 128 slabs 17 ms, 512 6.2 ms, 2048 3.1 ms,
+# 4096 and more 2.8 ms.  Grids are multiplied slab by slab.
+BLOCK_SLABS = 2048
 # Field-profile samples per vectorized block: the default profile took the
 # same ~62 ms at 2^12..2^16 and ~100 ms at 2^18 and above (out of cache).
 PROFILE_BLOCK = 1 << 14
@@ -205,40 +206,49 @@ def matrix_power(m: TransferMatrix, n: int) -> TransferMatrix:
 def _slab_zetas(chain: SlabChain, delta_brg, cfg: AtomResponseConfig):
     """zeta of slab j at detuning delta - stark_shift_j; shape (n_slabs,) + grid.
 
-    The Lorentzian line sum is evaluated once per distinct Stark shift (one
-    for a chain without Stark shifts) and broadcast against the surface
-    densities of the slabs sharing that shift.  The bits equal per-slab
-    zeta(sd_j, delta - st_j) calls, but the line-sum temporaries are the
-    size of the grid, not of the (slab, grid) result.
+    The line sum is evaluated in one call over the distinct Stark shifts
+    only (one for a chain without Stark shifts) and then scaled by each
+    slab's -surface_density * prefactor.  The bits equal those of zeta over
+    the (slab, grid) broadcast, but the line-sum temporaries are the size
+    of (shifts, grid), not of the result.
     """
     delta = np.asarray(delta_brg, dtype=float)
-    sd = chain.surface_density.reshape((-1,) + (1,) * delta.ndim)
+    col = (-1,) + (1,) * delta.ndim
     shifts, row = np.unique(chain.stark_shift, return_inverse=True)
-    if shifts.size == 1:  # no Stark shifts: skip the copy into a second array
-        return zeta(sd, delta - shifts[0], cfg)
-    zs = np.empty(sd.shape[:1] + delta.shape, dtype=complex)
-    for k, shift in enumerate(shifts):
-        zs[row == k] = zeta(sd[row == k], delta - shift, cfg)
+    zs = line_response(delta - shifts.reshape(col), cfg)[row]
+    zs *= -chain.surface_density.reshape(col) * zeta_prefactor(cfg)
     return zs
 
 
-def _pairwise_product(stack: TransferMatrix, first: int) -> TransferMatrix:
-    """Ordered product of a (k, ..., 2, 2) stack in ceil(log2 k) matmul2 calls.
+def _pairwise_product(stack: TransferMatrix) -> TransferMatrix:
+    """Ordered product of a (k, 2, 2) stack in ceil(log2 k) matmul2 calls.
 
     Neighbours are multiplied in pairs, left factor first; an odd last
     factor is carried to the next level.  Every level passes the overflow
-    guard; `first` is the chain index of stack[0], for the message.
+    guard; when stack[0] carries the running product, the leftmost node of
+    each level is a prefix of the chain, as the slab-by-slab guard sees it.
     """
-    last = first + stack.shape[0] - 1
-    level = 0
     while stack.shape[0] > 1:
         even = stack.shape[0] - stack.shape[0] % 2
         prod = matmul2(stack[0:even:2], stack[1:even:2])
-        _check_overflow(prod, f"slabs {first}-{last}, pairwise level {level}")
+        _check_overflow(prod, "pairwise level")
         stack = prod if even == stack.shape[0] else \
             np.concatenate([prod, stack[even:]])
-        level += 1
     return stack[0]
+
+
+def _fold(m: TransferMatrix, zs, fwd, bwd, first: int) -> TransferMatrix:
+    """m times layer j and gap j for each slab j from `first`, one at a time.
+
+    The gap is a scaling of the product's columns; the overflow guard runs
+    after every slab and names it.
+    """
+    for j, z in enumerate(zs, first):
+        m = matmul2(m, layer_matrix(z))
+        m[..., :, 0] *= fwd[j]
+        m[..., :, 1] *= bwd[j]
+        _check_overflow(m, f"slab {j}")
+    return m
 
 
 def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
@@ -246,9 +256,12 @@ def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
     """Ordered product of layer and gap matrices over one period of the chain.
 
     `delta_brg` may be a scalar or a grid; grid axes lead the 2x2 axes of the
-    result.  Slabs are taken in blocks of max(1, BLOCK_POINTS // grid size);
-    each block is reduced pairwise and folded into the running product, so
-    grids of more than BLOCK_POINTS / 2 points keep the slab-by-slab order.
+    result.  A grid is multiplied slab by slab.  A scalar detuning takes
+    blocks of BLOCK_SLABS slabs, each reduced pairwise and folded into the
+    running product; a block that trips the overflow guard on any tree level
+    or at its end is folded again slab by slab, so the error names the slab
+    the slab-by-slab product would name.  A prefix that passes the limit
+    and falls back under it at every checked node of its block goes unseen.
     """
     delta = np.asarray(delta_brg, dtype=float)
     m = identity_matrix(delta.shape)
@@ -257,15 +270,20 @@ def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
     zs = _slab_zetas(chain, delta, cfg)
     phi = geom.k_brg * chain.gap_after * math.cos(geom.beta_i)  # as gap_matrix
     fwd, bwd = np.exp(1j * phi), np.exp(-1j * phi)
-    scale = (-1,) + (1,) * (delta.ndim + 1)
-    width = max(1, BLOCK_POINTS // max(1, delta.size))
-    for j0 in range(0, chain.n_slabs, width):
-        block = layer_matrix(zs[j0:j0 + width])
+    if delta.ndim > 0:
+        return _fold(m, zs, fwd, bwd, 0)
+    for j0 in range(0, chain.n_slabs, BLOCK_SLABS):
+        j1 = min(j0 + BLOCK_SLABS, chain.n_slabs)
+        block = layer_matrix(zs[j0:j1])
         block[0] = matmul2(m, block[0])
-        block[..., :, 0] *= fwd[j0:j0 + width].reshape(scale)
-        block[..., :, 1] *= bwd[j0:j0 + width].reshape(scale)
-        m = _pairwise_product(block, j0)
-        _check_overflow(m, f"slab {j0 + block.shape[0] - 1}")
+        block[:, :, 0] *= fwd[j0:j1, None]
+        block[:, :, 1] *= bwd[j0:j1, None]
+        try:
+            product = _pairwise_product(block)
+            _check_overflow(product, "pairwise block")
+        except OverflowGuardError:
+            product = _fold(m, zs[j0:j1], fwd, bwd, j0)
+        m = product
     return m
 
 

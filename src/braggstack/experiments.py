@@ -1,11 +1,9 @@
 """High-level scans, detected-power mapping and the boundary-value oracle.
 
 Spectra are computed on detuning grids expressed in units of the linewidth.
-Wide grids are swept serially in ceil(N / GRID_CHUNK) near-equal slices,
-which keeps the (slice, 2, 2) matrix stacks in cache.  No slice is narrower
-than GRID_CHUNK // 2 points, so each takes the engine's slab-by-slab product
-like the whole grid does; the per-point arithmetic is elementwise, so slice
-boundaries never change a single bit of the output.
+Wide grids are swept serially in chunks of GRID_CHUNK points, which keeps the
+(chunk, 2, 2) matrix stacks in cache; the per-point arithmetic is elementwise,
+so chunk boundaries never change a single bit of the output.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .response import AtomResponseConfig, zeta
 
 DEFAULT_GRID = (-40.0, 15.0, 1101)
 FILLED_PERIODS = 10_000  # antinodes populated in the reference trap
-GRID_CHUNK = 4096  # most grid points per engine call in a sweep
+GRID_CHUNK = 4096  # grid points per engine call in a sweep
 
 
 def detuning_grid(start: float = DEFAULT_GRID[0], stop: float = DEFAULT_GRID[1],
@@ -57,40 +55,45 @@ class SpectrumTable:
             raise ValueError("detuning grid must be strictly increasing")
 
 
+def _fails(fn, delta) -> bool:
+    try:
+        fn(delta)
+    except EngineError:
+        return True
+    return False
+
+
 def _located(fn, delta: np.ndarray, offset: int):
     """fn(delta); an EngineError is re-raised naming the first failing point.
 
     Only this slice is re-evaluated, point by point; `offset` is the global
-    grid index of its first point.
+    grid index of its first point.  A grid point is retried as a one-point
+    grid, which takes the engine path of the failing call and its bits.
     """
     try:
         return fn(delta)
     except EngineError as exc:
-        for i, d in enumerate(np.atleast_1d(delta), offset):
-            try:
-                fn(d)
-            except EngineError:
-                raise type(exc)(
-                    f"{exc} [first failing grid point: index {i}, "
-                    f"delta = {d:.6g} rad/s]") from exc
-        raise
+        points = delta.reshape(-1)
+        i = 0 if delta.ndim == 0 else next(
+            (k for k in range(points.size) if _fails(fn, points[k:k + 1])), None)
+        if i is None:
+            raise
+        raise type(exc)(
+            f"{exc} [first failing grid point: index {offset + i}, "
+            f"delta = {points[i]:.6g} rad/s]") from exc
 
 
 def _chunked(fn, delta: np.ndarray):
-    """fn over a detuning grid in ceil(N / GRID_CHUNK) near-equal slices.
+    """fn over a detuning grid in slices of at most GRID_CHUNK points.
 
-    No slice is narrower than GRID_CHUNK // 2 points, so every slice takes
-    the same slab-by-slab product as the whole grid (engine.BLOCK_POINTS);
-    fn is then elementwise over the grid and the parts joined in grid order
-    carry the same bits as fn(delta).  Scalar, short and multi-dimensional
-    grids are one call.
+    fn is elementwise over the grid, so the parts joined in grid order carry
+    the same bits as fn(delta).  Scalar, short and multi-dimensional grids
+    are one call.
     """
     if delta.ndim != 1 or delta.size <= GRID_CHUNK:
         return _located(fn, delta, 0)
-    slices = math.ceil(delta.size / GRID_CHUNK)
-    bounds = [k * delta.size // slices for k in range(slices + 1)]
-    parts = [_located(fn, delta[lo:hi], lo)
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    parts = [_located(fn, delta[i:i + GRID_CHUNK], i)
+             for i in range(0, delta.size, GRID_CHUNK)]
     if isinstance(parts[0], ScatterResult):
         return ScatterResult(*[np.concatenate([getattr(p, f.name) for p in parts])
                                for f in fields(ScatterResult)])

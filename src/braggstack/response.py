@@ -74,17 +74,27 @@ def default_config(lambda_brg: float = 780e-9) -> AtomResponseConfig:
     return AtomResponseConfig(GAMMA_RB85_D2, rb85_d2_f3_lines(), lambda_brg)
 
 
+def zeta_prefactor(cfg: AtomResponseConfig) -> float:
+    """(3/2) * lambda**2 / 2pi, the area per atom in zeta."""
+    return 1.5 * cfg.lambda_brg**2 / (2.0 * math.pi)
+
+
+def line_response(delta_brg, cfg: AtomResponseConfig) -> np.ndarray:
+    """sum_F s_F / (i + 2*(delta - delta_F)/Gamma), the detuning factor of zeta."""
+    delta = np.asarray(delta_brg, dtype=float)
+    resp = np.zeros(delta.shape, dtype=complex)
+    for line in cfg.lines:
+        resp += line.strength / (1j + 2.0 * (delta - line.delta_f) / cfg.gamma)
+    return resp
+
+
 def zeta(surface_density, delta_brg, cfg: AtomResponseConfig):
     """Complex single-layer reflection coefficient.
 
     Broadcasts over `surface_density` and `delta_brg` (scalars or arrays).
     """
-    prefactor = 1.5 * cfg.lambda_brg**2 / (2.0 * math.pi)
-    delta = np.asarray(delta_brg, dtype=float)
-    resp = np.zeros(delta.shape, dtype=complex)
-    for line in cfg.lines:
-        resp += line.strength / (1j + 2.0 * (delta - line.delta_f) / cfg.gamma)
-    out = -np.asarray(surface_density, dtype=float) * prefactor * resp
+    out = -np.asarray(surface_density, dtype=float) * zeta_prefactor(cfg) \
+        * line_response(delta_brg, cfg)
     if out.ndim == 0:
         return complex(out)
     return out

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,34 +247,40 @@ def test_slab_chain_validation():
         bs.SlabChain([1.0, 2.0], [0.0], [0.0])
 
 
-def test_slab_zetas_equal_per_slab_zeta_bitwise(cfg, geom):
-    # one Lorentzian sum per distinct Stark shift, same bits as per slab
+def test_slab_zetas_equal_broadcast_zeta_bitwise(cfg, geom):
+    # one line-sum call over the distinct Stark shifts, same bits as zeta
+    # over the (slab, grid) broadcast and, on a grid, as per-slab calls
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
     two = bs.two_component_lattice(3e17, 0.2, 4, 20, geom)
     assert np.unique(stark.stark_shift).size > 1
+    grid = bs.detuning_grid() * cfg.gamma
     for chain in (stark, two):
-        for delta in (bs.detuning_grid() * cfg.gamma, 0.7 * cfg.gamma):
+        for delta in (grid, np.asarray(0.7 * cfg.gamma)):
+            col = (-1,) + (1,) * delta.ndim
+            want = bs.zeta(chain.surface_density.reshape(col),
+                           delta - chain.stark_shift.reshape(col), cfg)
             got = bs.engine._slab_zetas(chain, delta, cfg)
-            want = np.stack([np.asarray(bs.zeta(sd, np.asarray(delta) - st, cfg))
-                             for sd, st in zip(chain.surface_density,
-                                               chain.stark_shift)])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        per_slab = np.stack([bs.zeta(sd, grid - st, cfg) for sd, st in
+                             zip(chain.surface_density, chain.stark_shift)])
+        assert bs.engine._slab_zetas(chain, grid, cfg).tobytes() == \
+            per_slab.tobytes()
 
 
-def test_unit_cell_matrix_on_default_grid_is_sequential_fold_bitwise(cfg, geom):
-    # 1101 points is wider than BLOCK_POINTS / 2: slab by slab, gap after slab
+def test_unit_cell_matrix_on_grids_is_sequential_fold_bitwise(cfg, geom):
+    # any grid, one point included, is multiplied slab by slab, gap after slab
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
-    delta = bs.detuning_grid() * cfg.gamma
-    assert 2 * delta.size > bs.engine.BLOCK_POINTS
-    for chain in (stark, bs.two_component_lattice(3e17, 0.2, 4, 20, geom)):
-        m = bs.identity_matrix(delta.shape)
-        for sd, st, g in zip(chain.surface_density, chain.stark_shift,
-                             chain.gap_after):
-            m = bs.matmul2(m, bs.layer_matrix(bs.zeta(sd, delta - st, cfg)))
-            m = bs.matmul2(m, bs.gap_matrix(g, geom.k_brg, geom.beta_i))
-        assert bs.unit_cell_matrix(chain, delta, cfg, geom).tobytes() == m.tobytes()
+    for delta in (bs.detuning_grid() * cfg.gamma, np.array([0.7 * cfg.gamma])):
+        for chain in (stark, bs.two_component_lattice(3e17, 0.2, 4, 20, geom)):
+            m = bs.identity_matrix(delta.shape)
+            for sd, st, g in zip(chain.surface_density, chain.stark_shift,
+                                 chain.gap_after):
+                m = bs.matmul2(m, bs.layer_matrix(bs.zeta(sd, delta - st, cfg)))
+                m = bs.matmul2(m, bs.gap_matrix(g, geom.k_brg, geom.beta_i))
+            got = bs.unit_cell_matrix(chain, delta, cfg, geom)
+            assert got.tobytes() == m.tobytes()
 
 
 def _disordered_flat_chain(rng, geom):
@@ -282,15 +289,14 @@ def _disordered_flat_chain(rng, geom):
                         base.stark_shift, base.gap_after)
 
 
-def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom, monkeypatch):
-    # one detuning over 9,900 disordered slabs takes the pairwise reduction
+def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom):
+    # one detuning over 9,900 disordered slabs takes the pairwise reduction;
+    # the same detuning as a one-point grid takes the slab-by-slab product
     rng = np.random.default_rng(2024)
     for delta in rng.uniform(-3, 3, 3) * cfg.gamma:
         chain = _disordered_flat_chain(rng, geom)
         pairwise = bs.chain_matrix(chain, delta, cfg, geom)
-        with monkeypatch.context() as mp:
-            mp.setattr(bs.engine, "BLOCK_POINTS", 1)
-            sequential = bs.chain_matrix(chain, delta, cfg, geom)
+        sequential = bs.chain_matrix(chain, np.array([delta]), cfg, geom)[0]
         assert np.max(np.abs(pairwise - sequential)) <= \
             1e-12 * np.max(np.abs(sequential))
         res = bs.scatter(pairwise)
@@ -298,22 +304,22 @@ def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom, monkeypatch
         assert abs(res.r - r_o) < 1e-10 and abs(res.t - t_o) < 1e-10
 
 
-def _overflows(chain, delta, cfg, geom):
-    try:
+def _guard_slab(chain, delta, cfg, geom):
+    with pytest.raises(bs.OverflowGuardError) as err:
         bs.chain_matrix(chain, delta, cfg, geom)
-    except bs.OverflowGuardError:
-        return True
-    return False
+    return re.search(r"slab \d+", str(err.value)).group()
 
 
-def test_pairwise_product_keeps_overflow_guard(cfg, geom):
-    # the flat 20,000-slab detuned lattice overflows on the pairwise path too
+def test_pairwise_guard_names_the_slab_of_the_sequential_product(cfg, geom):
+    # on resonance the flat 8,000-slab detuned lattice passes the guard limit
+    # inside a pairwise block; that block is folded again slab by slab, so
+    # the scalar call names the slab that a one-point grid names
     g8 = geom.with_lattice_mismatch(0.8e-9)
-    chain = bs.perfect_lattice(3e17, 20_000, g8)
-    delta = next(d for d in bs.detuning_grid(-40, 15, 23) * cfg.gamma
-                 if _overflows(chain, d, cfg, g8))
-    with pytest.raises(bs.OverflowGuardError):
-        bs.chain_matrix(chain.repeated(), delta, cfg, g8)
+    flat = bs.perfect_lattice(3e17, 8_000, g8).repeated()
+    slab = _guard_slab(flat, 0.0, cfg, g8)
+    assert int(slab.split()[1]) % bs.engine.BLOCK_SLABS != \
+        bs.engine.BLOCK_SLABS - 1
+    assert slab == _guard_slab(flat, np.zeros(1), cfg, g8)
 
 
 def _reference_profile(chain, delta, samples_per_gap, r, cfg, geom):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,9 +72,9 @@ def test_band_structure_chunks_match_full_array_bitwise(cfg, geom):
     assert _same_bits(rho, bs.density_of_states(WIDE_GRID, ref))
 
 
-def test_chunked_slices_are_balanced_and_bitwise(cfg, geom):
-    # GRID_CHUNK + 1 points split in two near-equal halves, not 4096 + 1: a
-    # one-point tail would take the engine's pairwise path and its bits
+def test_chunked_one_point_tail_is_bitwise(cfg, geom):
+    # GRID_CHUNK + 1 points: the last slice is a one-point grid, which the
+    # engine multiplies slab by slab like the full array
     chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
     delta = bs.detuning_grid(-40, 15, GRID_CHUNK + 1) * cfg.gamma
     widths = []
@@ -83,8 +84,7 @@ def test_chunked_slices_are_balanced_and_bitwise(cfg, geom):
         return bs.scatter(bs.chain_matrix(chain, d, cfg, geom))
 
     chunked = _chunked(fn, delta)
-    assert sum(widths) == delta.size and len(widths) == 2
-    assert min(widths) >= GRID_CHUNK // 2
+    assert widths == [GRID_CHUNK, 1]
     full = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
     for name in ("r", "t", "big_r", "big_t", "big_a", "phi"):
         assert _same_bits(getattr(chunked, name), getattr(full, name)), name
@@ -115,6 +115,39 @@ def test_sweep_reports_global_grid_index_past_first_chunk(cfg, geom):
     with pytest.raises(bs.OverflowGuardError,
                        match=rf"grid point: index {GRID_CHUNK + 5 + first_bad},"):
         bs.sweep_scatter(chain, grid * cfg.gamma, cfg, g8)
+
+
+def test_sweep_names_failing_point_and_slab_of_flat_chain(cfg, geom):
+    # 8,000 slabs without a period: the grid call, its one-point re-scan and
+    # the scalar call (pairwise blocks) agree on the point and on the slab
+    g8 = geom.with_lattice_mismatch(0.8e-9)
+    flat = bs.perfect_lattice(3e17, 8_000, g8).repeated()
+    grid = np.array([-2.5, 0.0, 2.5]) * cfg.gamma
+    with pytest.raises(bs.OverflowGuardError,
+                       match=r"grid point: index 1,") as swept:
+        bs.sweep_scatter(flat, grid, cfg, g8)
+    with pytest.raises(bs.OverflowGuardError) as scalar:
+        bs.chain_matrix(flat, grid[1], cfg, g8)
+    slab = re.compile(r"slab \d+")
+    assert slab.search(str(swept.value)).group() == \
+        slab.search(str(scalar.value)).group()
+
+
+def test_oracle_matches_engine_grid_path_on_random_chains(cfg, geom):
+    # the slab-by-slab product of a grid against the oracle, point by point
+    rng = np.random.default_rng(321)
+    worst = 0.0
+    for _ in range(100):
+        n = int(rng.integers(1, 21))
+        chain = bs.SlabChain(rng.uniform(0, 3e11, n),
+                             rng.uniform(-5, 5, n) * cfg.gamma,
+                             rng.uniform(0, 1.5e-6, n))
+        delta = rng.uniform(-12, 12, 3) * cfg.gamma
+        res = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
+        for k, d in enumerate(delta):
+            r_o, t_o = bs.solve_boundary_value(chain, d, cfg, geom)
+            worst = max(worst, abs(res.r[k] - r_o), abs(res.t[k] - t_o))
+    assert worst < 1e-10
 
 
 def test_oracle_matches_engine_on_random_chains(cfg, geom):
