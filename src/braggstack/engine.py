@@ -45,6 +45,9 @@ BLOCK_SLABS = 2048
 # Field-profile samples per vectorized block: the default profile took the
 # same ~62 ms at 2^12..2^16 and ~100 ms at 2^18 and above (out of cache).
 PROFILE_BLOCK = 1 << 14
+# Largest |Re| and |Im| for which every modulus surely passes the guard:
+# just under OVERFLOW_LIMIT / sqrt(2), with room for rounding.
+_SAFE_PART = 0.7071 * OVERFLOW_LIMIT
 
 
 class EngineError(RuntimeError):
@@ -175,6 +178,10 @@ def det2(m: TransferMatrix):
 
 
 def _check_overflow(m: TransferMatrix, where: str):
+    # max(|Re|, |Im|) bounds the modulus to within sqrt(2) without computing
+    # one modulus per element; only the band near the limit pays for those
+    if np.max(np.abs(m.view(m.real.dtype))) <= _SAFE_PART:
+        return
     peak = np.max(np.abs(m))
     if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
         raise OverflowGuardError(
@@ -326,7 +333,7 @@ def scatter(m: TransferMatrix):
     big_r = np.abs(r) ** 2
     big_t = np.abs(t) ** 2
     big_a = 1.0 - (big_r + big_t)
-    phi = np.arctan2(r.imag, r.real)
+    phi = np.where(r == 0.0, 0.0, np.arctan2(r.imag, r.real))  # no phase at r = 0
     if m.ndim == 2:
         return ScatterResult(complex(r), complex(t), float(big_r),
                              float(big_t), float(big_a), float(phi))

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.signal import find_peaks
 
 from . import __version__
 from .engine import EngineError, ScatterResult, SlabChain, chain_matrix, \
@@ -66,21 +64,26 @@ def _fails(fn, delta) -> bool:
 def _located(fn, delta: np.ndarray, offset: int):
     """fn(delta); an EngineError is re-raised naming the first failing point.
 
-    Only this slice is re-evaluated, point by point; `offset` is the global
-    grid index of its first point.  A grid point is retried as a one-point
-    grid, which takes the engine path of the failing call and its bits.
+    Only this slice is re-evaluated, by bisection on its prefixes: fn is
+    elementwise over the grid and the guards take the worst point of the
+    stack, so a prefix fails exactly when one of its points does.  That
+    takes ceil(log2 n) calls, each a grid of the failing call's engine path.
+    `offset` is the global grid index of the slice's first point.
     """
     try:
         return fn(delta)
     except EngineError as exc:
         points = delta.reshape(-1)
-        i = 0 if delta.ndim == 0 else next(
-            (k for k in range(points.size) if _fails(fn, points[k:k + 1])), None)
-        if i is None:
-            raise
+        lo, hi = 0, points.size - 1  # the prefix ending at hi fails
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _fails(fn, points[:mid + 1]):
+                hi = mid
+            else:
+                lo = mid + 1
         raise type(exc)(
-            f"{exc} [first failing grid point: index {offset + i}, "
-            f"delta = {points[i]:.6g} rad/s]") from exc
+            f"{exc} [first failing grid point: index {offset + lo}, "
+            f"delta = {points[lo]:.6g} rad/s]") from exc
 
 
 def _chunked(fn, delta: np.ndarray):
@@ -213,7 +216,8 @@ def radial_average(n_peak: float, sigma_r: float, n_rings: int, build_chain,
         acc = cols if acc is None else acc + cols
         r_sum = r_sum + np.sqrt(table.R) * np.exp(1j * table.phi)
     acc /= n_rings
-    return SpectrumTable(grid, acc[0], acc[1], acc[2], np.angle(r_sum),
+    phi = np.where(r_sum == 0.0, 0.0, np.angle(r_sum))  # no phase at r = 0
+    return SpectrumTable(grid, acc[0], acc[1], acc[2], phi,
                          metadata={"radial_rings": str(n_rings),
                                    "n_peak": f"{n_peak:.6g}"})
 
@@ -260,6 +264,8 @@ def solve_boundary_value(chain: SlabChain, delta_brg: float,
     zero incoming from the right.  Solved by banded Gaussian elimination, not
     by matrix chaining, so it cross-checks the transfer engine.
     """
+    from scipy.linalg import solve_banded  # only the oracle needs scipy
+
     flat = chain.repeated()
     n = flat.n_slabs
     if n == 0:
@@ -334,15 +340,67 @@ def band_structure(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
     return theta, rho
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Midpoints of the runs of equal samples higher than both neighbours.
+
+    A run touching either edge is no maximum, and the midpoint of an even
+    run rounds down, as in scipy.signal.find_peaks.
+    """
+    starts = np.flatnonzero(np.concatenate([[True], x[1:] != x[:-1]]))
+    ends = np.append(starts[1:], x.size) - 1
+    inner = (starts > 0) & (ends < x.size - 1)
+    s, e = starts[inner], ends[inner]
+    peak = (x[s - 1] < x[s]) & (x[e + 1] < x[e])
+    return (s[peak] + e[peak]) // 2
+
+
+def _bases(values: list, lows: list) -> list:
+    """Lowest sample between each peak and the nearest strictly higher peak
+    before it, or the edge; lows[j] is the lowest sample from peak j - 1
+    (or the edge) up to peak j.
+    """
+    out, stack = [], []  # (peak value, lowest sample since the entry below)
+    for v, low in zip(values, lows):
+        while stack and stack[-1][0] <= v:
+            low = min(low, stack.pop()[1])
+        out.append(low)
+        stack.append((v, low))
+    return out
+
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Height of each peak over the higher of its two bases, for NaN-free x.
+
+    A base is the lowest sample between the peak and the nearest strictly
+    higher sample on its side, or the edge, as in
+    scipy.signal.peak_prominences without a window.  Walking away from the
+    peak, that higher sample lies on the flank of the nearest strictly
+    higher peak (or of the edge), so the bases follow from the lowest
+    sample between neighbouring peaks with one stack pass per side.
+    """
+    if peaks.size == 0:
+        return np.empty(0)
+    lows = np.minimum.reduceat(x, np.concatenate([[0], peaks])).tolist()
+    values = x[peaks].tolist()
+    left = _bases(values, lows[:-1])
+    right = _bases(values[::-1], lows[:0:-1])[::-1]
+    return x[peaks] - np.maximum(left, right)
+
+
 def reflection_minima(delta_over_gamma, big_r, prominence: float = 1e-3,
                       window=None):
-    """Indices of local minima of R using a 3-point criterion plus prominence.
+    """Indices of local minima of R with at least the given prominence.
 
+    For R without NaN the indices are those of
+    scipy.signal.find_peaks(-R, prominence=...): a minimum is lower than
+    both neighbours (a plateau counts once, at its midpoint rounded down)
+    and its prominence is measured from the higher of its two bases.
     `window` optionally restricts the search to delta/Gamma in [lo, hi].
     """
     grid = np.asarray(delta_over_gamma, dtype=float)
-    r = np.asarray(big_r, dtype=float)
-    idx, _ = find_peaks(-r, prominence=prominence)
+    x = -np.asarray(big_r, dtype=float)
+    idx = _local_maxima(x)
+    idx = idx[_prominences(x, idx) >= prominence]
     if window is not None:
         lo, hi = window
         idx = idx[(grid[idx] >= lo) & (grid[idx] <= hi)]

@@ -106,8 +106,11 @@ def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px(float(x)))},{_fmt(py(float(y)))}"
-                       for x, y in zip(np.asarray(s.x), np.asarray(s.y)))
+        # px and py over whole arrays: the same float64 operations, in the
+        # same order, as on one point
+        xy = zip(px(np.asarray(s.x, dtype=float)).tolist(),
+                 py(np.asarray(s.y, dtype=float)).tolist())
+        pts = " ".join(map("%.3f,%.3f".__mod__, xy))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         if s.label:

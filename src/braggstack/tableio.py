@@ -15,33 +15,58 @@ from .experiments import SpectrumTable
 
 SPECTRUM_COLUMNS = ("delta_over_gamma", "R", "T", "A", "phi_rad")
 VOLATILE_KEYS = frozenset({"created"})
+BLOCK_ROWS = 1 << 15  # rows per formatted text block (~2 MB of text)
 
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def render_csv(columns: dict, metadata: dict | None = None) -> str:
-    """Serialize named columns plus metadata comments to CSV text."""
+def _blocks(columns: dict, metadata: dict | None):
+    """The CSV text as an iterator of blocks: the header, then BLOCK_ROWS
+    rows at a time.
+
+    The columns are checked before the iterator is returned, so a bad table
+    writes nothing.  Each row is one fused "%.17g,...\n" format over the
+    Python numbers of tolist(), which gives the bytes of
+    format_float(float(v)) per cell.  A complex column is refused: float()
+    would drop its imaginary part.
+    """
     names = list(columns)
     arrays = [np.asarray(columns[name]) for name in names]
     length = arrays[0].size
     if any(a.size != length for a in arrays):
         raise ValueError("columns must have equal length")
-    lines = []
-    for key in sorted(metadata or {}):
-        if key in VOLATILE_KEYS:
-            continue
-        lines.append(f"# {key} = {metadata[key]}")
-    lines.append(",".join(names))
-    for i in range(length):
-        lines.append(",".join(format_float(float(a[i])) for a in arrays))
-    return "\n".join(lines) + "\n"
+    for name, a in zip(names, arrays):
+        if np.iscomplexobj(a):
+            raise TypeError(f"column {name!r} is complex; write its real "
+                            f"and imaginary parts as two columns")
+    head = [f"# {key} = {metadata[key]}\n" for key in sorted(metadata or {})
+            if key not in VOLATILE_KEYS]
+    head.append(",".join(names) + "\n")
+    row = ",".join(["%.17g"] * len(arrays)) + "\n"
+
+    def gen():
+        yield "".join(head)
+        for i in range(0, length, BLOCK_ROWS):
+            cells = zip(*[a[i:i + BLOCK_ROWS].tolist() for a in arrays])
+            yield "".join(map(row.__mod__, cells))
+
+    return gen()
+
+
+def render_csv(columns: dict, metadata: dict | None = None) -> str:
+    """Serialize named columns plus metadata comments to CSV text."""
+    return "".join(_blocks(columns, metadata))
 
 
 def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
+    """render_csv(columns, metadata) to a file, written block by block."""
+    blocks = _blocks(columns, metadata)
     try:
-        Path(path).write_bytes(render_csv(columns, metadata).encode("utf-8"))
+        with open(path, "wb") as f:
+            for block in blocks:
+                f.write(block.encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

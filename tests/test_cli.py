@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -112,3 +116,13 @@ def test_config_error_reported(tmp_path, capsys):
     assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # only the boundary-value oracle needs scipy, and imports it when called
+    code = ("import sys, braggstack.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import braggstack as bs
+from braggstack.engine import OVERFLOW_LIMIT, _check_overflow
 
 
 def make_random_chain(rng, max_slabs=20, gamma=bs.GAMMA_RB85_D2):
@@ -364,3 +365,67 @@ def test_field_profile_equals_reference_loop_bitwise(cfg, geom):
             z_ref, i_ref = _reference_profile(chain, delta, spg, r, cfg, geom)
             assert z.tobytes() == z_ref.tobytes()
             assert intensity.tobytes() == i_ref.tobytes()
+
+
+def _modulus_guard(m, where):
+    # the guard as a plain modulus check: the reference for its decision
+    peak = np.max(np.abs(m))
+    if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
+        raise bs.OverflowGuardError(
+            f"matrix element magnitude {peak:.3e} exceeds "
+            f"{OVERFLOW_LIMIT:.0e} ({where}); chain exhibits unphysical "
+            f"gain or ran away numerically")
+
+
+_DIAGONAL = complex(1.0, 1.0) / math.sqrt(2.0)  # modulus 1, equal parts
+
+
+@pytest.mark.parametrize("entry, trips", [
+    (1e12 * _DIAGONAL * (1 - 1e-15), False),
+    (1e12 * _DIAGONAL * (1 + 1e-15), True),
+    (0.70709e12 * complex(1, 1), False),  # parts under the cheap bound
+    (0.7072e12 * complex(1, 1), True),    # parts over it, modulus over 1e12
+    (complex(0.8e12, 0.0), False),        # parts over it, modulus under 1e12
+    (complex(0.0, 1e12), False),
+    (complex(0.0, np.nextafter(1e12, np.inf)), True),
+    (complex(-1e12, 0.0), False),
+    (complex(np.nan, 0.0), True),
+    (complex(0.0, np.nan), True),
+    (complex(np.inf, 0.0), True),
+    (complex(0.0, -np.inf), True),
+])
+def test_overflow_guard_decides_as_the_modulus_check(entry, trips):
+    m = bs.identity_matrix((3,))
+    m[1, 0, 1] = entry
+    assert (not np.isfinite(abs(entry)) or abs(entry) > 1e12) == trips
+    try:
+        _modulus_guard(m, "probe")
+        expected = None
+    except bs.OverflowGuardError as exc:
+        expected = str(exc)
+    assert (expected is not None) == trips
+    if trips:
+        with pytest.raises(bs.OverflowGuardError) as got:
+            _check_overflow(m, "probe")
+        assert str(got.value) == expected
+    else:
+        _check_overflow(m, "probe")
+
+
+@pytest.mark.parametrize("periods", [1, 3])
+@pytest.mark.parametrize("gaps", [
+    [0.5, 0.5, 0.5, 0.5],                 # gapped slabs only
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5],  # zero-gap slabs in front
+    [0.0, 0.5],                           # a zero gap in every period
+])
+def test_zero_reflection_has_zero_phase(cfg, geom, gaps, periods):
+    # an atom-free chain reflects nothing; arctan2 of the signed zeros of r
+    # gave -0 or -pi depending on the gaps
+    n = len(gaps)
+    chain = bs.SlabChain(np.zeros(n), np.zeros(n),
+                         np.array(gaps) * geom.lambda_dip, periods=periods)
+    grid = bs.detuning_grid(-2, 2, 5)
+    for phi in (bs.spectrum(chain, grid, cfg, geom).phi,
+                bs.scatter(bs.chain_matrix(chain, 0.3 * cfg.gamma, cfg, geom)).phi):
+        phi = np.asarray(phi)
+        assert np.all(phi == 0.0) and not np.any(np.signbit(phi))

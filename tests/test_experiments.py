@@ -3,9 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.experiments import GRID_CHUNK, _chunked
+from braggstack.experiments import GRID_CHUNK, _chunked, _located
 
 
 def test_spectrum_zero_density(cfg, geom):
@@ -357,3 +358,63 @@ def test_reflection_minima_tool():
                                         math.pi / 2, 3 * math.pi / 2], atol=0.05)
     idx = bs.reflection_minima(x, y, prominence=1e-3, window=(0, 2))
     assert len(idx) == 1 and abs(x[idx[0]] - math.pi / 2) < 0.05
+
+
+def test_radial_average_of_no_atoms_has_zero_phase(cfg, geom):
+    grid = bs.detuning_grid(-2, 2, 5)
+    build = lambda n: bs.SlabChain(np.full(3, n), np.zeros(3),
+                                   np.array([0.0, 0.0, 1.0]) * geom.lambda_dip,
+                                   periods=4)
+    avg = bs.radial_average(0.0, geom.derived().sigma_r, 3, build, grid, cfg, geom)
+    assert np.all(avg.R == 0.0)
+    assert np.all(avg.phi == 0.0) and not np.any(np.signbit(avg.phi))
+
+
+@pytest.mark.parametrize("n, bad", [(1, 0), (2, 1), (7, 0), (7, 6), (4096, 0),
+                                    (4096, 1), (4096, 2047), (4096, 4095)])
+def test_failing_point_is_found_by_bisection(n, bad):
+    # an elementwise fn that fails at grid point `bad` and at the last one:
+    # the error names the first after at most 1 + ceil(log2 n) calls
+    delta = np.arange(n, dtype=float)
+    calls = []
+
+    def fn(d):
+        calls.append(d.size)
+        if np.any((d == bad) | (d == n - 1)):
+            raise bs.OverflowGuardError("probe")
+        return d
+
+    with pytest.raises(bs.OverflowGuardError,
+                       match=rf"index {100 + bad}, delta = {bad:g} rad/s"):
+        _located(fn, delta, 100)
+    assert len(calls) <= 1 + math.ceil(math.log2(n))
+
+
+# few distinct levels make plateaus and ties; steps of 0.1 round in binary
+_levels = st.integers(0, 6).map(lambda k: 0.1 * k)
+_samples = st.one_of(
+    st.lists(_levels, max_size=40),
+    st.lists(st.floats(-1.0, 1.0, allow_subnormal=True), max_size=40),
+    st.lists(st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 0.3, 0.1 + 0.2]),
+             max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=_samples, data=st.data())
+def test_reflection_minima_matches_find_peaks(r, data):
+    from scipy.signal import find_peaks
+
+    r = np.array(r, dtype=float)
+    grid = np.arange(r.size) * 0.5 - 3.0
+    # thresholds at exact prominences of the data, where >= decides
+    gaps = sorted({abs(a - b) for a in r.tolist() for b in r.tolist()})
+    prominence = data.draw(st.sampled_from(gaps or [0.0]) | st.sampled_from(
+        [0.0, 1e-3, 0.25, 1.0]))
+    ref, _ = find_peaks(-r, prominence=prominence)
+    idx = bs.reflection_minima(grid, r, prominence=prominence)
+    assert idx.dtype.kind == "i" and idx.tolist() == ref.tolist()
+    lo, hi = sorted(data.draw(st.tuples(st.floats(-4, 18), st.floats(-4, 18))))
+    windowed = bs.reflection_minima(grid, r, prominence=prominence,
+                                    window=(lo, hi))
+    assert windowed.tolist() == [i for i in ref if lo <= grid[i] <= hi]

@@ -1,7 +1,13 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import braggstack as bs
+from braggstack import svgplot, tableio
 from braggstack.svgplot import Series, render_svg, spectrum_series
 from braggstack.tableio import format_float, read_csv, read_spectrum_csv, \
     render_csv, write_csv, write_spectrum_csv
@@ -116,3 +122,113 @@ def test_svg_profile_variant(cfg, geom):
     doc = render_svg([Series(z / geom.lambda_dip, intensity, "")],
                      "z / lambda_dip", "I / I_in")
     assert doc.count("<polyline") == 1
+
+
+def _csv_per_cell(columns, metadata=None):
+    # the writer as one float() and one format_float() per cell: the reference
+    names = list(columns)
+    arrays = [np.asarray(columns[name]) for name in names]
+    lines = [f"# {key} = {metadata[key]}" for key in sorted(metadata or {})
+             if key not in tableio.VOLATILE_KEYS]
+    lines.append(",".join(names))
+    for i in range(arrays[0].size):
+        lines.append(",".join(format_float(float(a[i])) for a in arrays))
+    return "\n".join(lines) + "\n"
+
+
+_column = st.one_of(
+    hnp.arrays(np.float64, st.integers(0, 12), elements=st.floats(
+        allow_nan=True, allow_infinity=True, allow_subnormal=True)),
+    hnp.arrays(np.float64, st.integers(0, 12),
+               elements=st.sampled_from([-0.0, -1e-300, -5e-324, 0.1, -2.5e-17])),
+    hnp.arrays(np.float32, st.integers(0, 12)),
+    hnp.arrays(np.int64, st.integers(0, 12)),
+    hnp.arrays(np.uint64, st.integers(0, 12)),
+    hnp.arrays(np.bool_, st.integers(0, 12)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cols=st.lists(_column, min_size=1, max_size=4),
+       block=st.sampled_from([1, 2, 3, 5, 1 << 15]))
+def test_render_csv_equals_per_cell_writer(tmp_path_factory, cols, block):
+    # blocks of 1..5 rows give many blocks and one-row tails on short tables
+    n = min(c.size for c in cols)
+    columns = {f"c{i}": c[:n] for i, c in enumerate(cols)}
+    meta = {"b": "2", "a": "1", "created": "now"}
+    with mock.patch.object(tableio, "BLOCK_ROWS", block):
+        text = render_csv(columns, meta)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, columns, meta)
+    assert text == _csv_per_cell(columns, meta)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_csv_blocks_with_one_row_tail(tmp_path):
+    n = tableio.BLOCK_ROWS + 1
+    z = np.linspace(-1.0, 1.0, n) ** 3
+    columns = {"z": z, "neg": -z * 1e-310, "k": np.arange(n) % 3 == 0}
+    path = tmp_path / "t.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == _csv_per_cell(columns).encode("utf-8")
+    assert render_csv(columns) == _csv_per_cell(columns)
+
+
+def test_csv_complex_column_rejected_before_writing(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="complex"):
+        write_csv(path, {"x": np.zeros(3), "r": np.array([1, 2, 3 + 1e-9j])})
+    assert not path.exists()
+
+
+def _polylines_per_point(series):
+    # the points of every polyline, scaled and formatted one point at a time
+    xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
+    ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+    plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
+    out = []
+    for s in series:
+        out.append(" ".join(
+            f"{svgplot.MARGIN_L + (float(x) - x_lo) / (x_hi - x_lo) * plot_w:.3f},"
+            f"{svgplot.MARGIN_T + (y_hi - float(y)) / (y_hi - y_lo) * plot_h:.3f}"
+            for x, y in zip(np.asarray(s.x), np.asarray(s.y))))
+    return out
+
+
+_coords = st.one_of(
+    st.floats(-1e3, 1e3, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 0.1, 0.2, 0.30000000000000004]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.lists(st.tuples(
+    st.lists(_coords, min_size=1, max_size=20),
+    st.lists(_coords, min_size=1, max_size=20),
+    st.sampled_from([np.float64, np.float32, np.int64])), min_size=1, max_size=3))
+def test_render_svg_points_equal_per_point_formatting(data):
+    series = [Series(np.asarray(x).astype(dtype), np.asarray(y).astype(dtype),
+                     f"s{i}") for i, (x, y, dtype) in enumerate(data)]
+    for axis in ("x", "y"):
+        values = np.concatenate([getattr(s, axis).astype(float) for s in series])
+        spread = float(values.max() - values.min())
+        # the tick spacing fails on spreads of a few ulps; keep clear of those
+        assume(spread == 0.0 or spread > 1e-9 * max(1.0, float(np.abs(values).max())))
+    doc = render_svg(series, "x", "y")
+    points = [line.split('points="')[1].split('"')[0]
+              for line in doc.splitlines() if line.startswith("<polyline")]
+    assert points == _polylines_per_point(series)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_svg_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        render_svg([Series(np.array([0.0, 1.0]), np.array([0.5, bad]))], "x", "y")
