@@ -1,32 +1,28 @@
-"""Transfer-matrix engine: 2x2 chain products, scattering amplitudes, fields.
+"""Scattering-matrix engine: chain amplitudes, transfer matrices, fields.
 
-Matrices act on (E+, E-) forward/backward amplitude pairs and are stored as
-complex ndarrays of shape (..., 2, 2); leading axes broadcast over detuning
-grids so a whole spectrum is one chain traversal.  A point layer of strength
-zeta contributes
+A slab is a point layer of strength zeta followed by a vacuum gap dz.  With
+q = 1/(1 - i*zeta) and g = exp(i k_z dz), k_z = k_brg cos beta, it scatters
+as r = i*zeta*q, t = t' = g*q, r' = i*zeta*g^2*q (r, t from the left; r', t'
+from the right).  Slabs compose by the Redheffer star product (Ko & Inkson,
+PRB 38, 9945 (1988); L. Li, JOSA A 13, 1024 (1996)), which keeps every
+amplitude of a passive chain bounded however opaque it is.  A grid is
+scanned slab by slab, first slab first, on (r, t, U = 1 + r'), with
+iz = i*zeta_j and g = g_j:
 
-    A = [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]]
+    w = 1/(1 - iz*U);  r += iz*t^2*w;  t = g*t*w;  U = 1 + g^2*(U*w - 1).
 
-and a gap dz contributes the diagonal phase exp(+-i k_brg dz cos beta).  Both
-factors are unimodular, so det M = 1 along any chain.
-
-The chain product is accumulated left to right, first slab first; with the
-amplitude extraction r = M12/M22, t = 1/M22 this yields the reflection and
-transmission for a probe entering at slab index 0 with vacuum on both sides.
-A gap is applied as a scaling of the two columns of the running product,
-which is what the product with its diagonal matrix computes.  At a single
-(0-d) detuning the per-slab Python overhead dominates, so blocks of
-BLOCK_SLABS slabs are first reduced pairwise in log2 numpy calls and then
-folded into the running product; that reassociates the product, which moves
-results only by rounding.  A block that trips the overflow guard is folded
-again slab by slab, so the error names the slab that the slab-by-slab
-product names.  Grids of any size, one point included, keep the
-slab-by-slab order and its bits.
+A single detuning takes a pairwise star tree, in log2 numpy calls, and
+periodic chains take star powers of the cell.  The public functions take
+and return 2x2 transfer matrices on (E+, E-) amplitude pairs, shape
+(..., 2, 2) with grid axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t,
+M11 = t' - r*r'/t.  A point layer is [[1 + i*zeta, i*zeta], [-i*zeta,
+1 - i*zeta]] and a gap the diagonal phase exp(+-i k_z dz), so det M = 1.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +32,14 @@ from .response import AtomResponseConfig, line_response, zeta, zeta_prefactor
 
 TransferMatrix = np.ndarray  # (..., 2, 2) complex
 
+# Bound on the field amplitudes of field_profile's recurrence.
 OVERFLOW_LIMIT = 1e12
-# Slabs per pairwise block of a chain product at a single detuning, where
-# per-slab Python overhead dominates.  Flat 13,200-slab chain, best of 5:
-# slab by slab 467 ms; blocks of 128 slabs 17 ms, 512 6.2 ms, 2048 3.1 ms,
-# 4096 and more 2.8 ms.  Grids are multiplied slab by slab.
-BLOCK_SLABS = 2048
+# Grid elements of zeta per block of slabs in a grid scan: the (slab, grid)
+# array of a whole chain is never built.
+ZETA_BLOCK = 1 << 16
 # Field-profile samples per vectorized block: the default profile took the
 # same ~62 ms at 2^12..2^16 and ~100 ms at 2^18 and above (out of cache).
 PROFILE_BLOCK = 1 << 14
-# Largest |Re| and |Im| for which every modulus surely passes the guard:
-# just under OVERFLOW_LIMIT / sqrt(2), with room for rounding.
-_SAFE_PART = 0.7071 * OVERFLOW_LIMIT
 
 
 class EngineError(RuntimeError):
@@ -55,7 +47,7 @@ class EngineError(RuntimeError):
 
 
 class OverflowGuardError(EngineError):
-    """Matrix elements exceeded the overflow guard (unphysical gain)."""
+    """field_profile's amplitude recurrence passed OVERFLOW_LIMIT."""
 
 
 class SingularMatrixError(EngineError):
@@ -78,9 +70,8 @@ class SlabChain:
     periods: int = 1
 
     def __post_init__(self):
-        sd = np.atleast_1d(np.asarray(self.surface_density, dtype=float))
-        st = np.atleast_1d(np.asarray(self.stark_shift, dtype=float))
-        gp = np.atleast_1d(np.asarray(self.gap_after, dtype=float))
+        sd, st, gp = (np.atleast_1d(require_finite(f, getattr(self, f)))
+                      for f in ("surface_density", "stark_shift", "gap_after"))
         if not (sd.shape == st.shape == gp.shape) or sd.ndim != 1:
             raise ValueError("slab arrays must be 1D and of equal length")
         if np.any(sd < 0.0):
@@ -89,9 +80,8 @@ class SlabChain:
             raise ValueError("gaps must be non-negative")
         if self.periods < 1:
             raise ValueError("periods must be >= 1")
-        object.__setattr__(self, "surface_density", sd)
-        object.__setattr__(self, "stark_shift", st)
-        object.__setattr__(self, "gap_after", gp)
+        for f, a in (("surface_density", sd), ("stark_shift", st), ("gap_after", gp)):
+            object.__setattr__(self, f, a)
 
     @property
     def n_slabs(self) -> int:
@@ -106,11 +96,8 @@ class SlabChain:
         """Materialize the periodic repetition into a flat, periods=1 chain."""
         if self.periods == 1:
             return self
-        return SlabChain(
-            np.tile(self.surface_density, self.periods),
-            np.tile(self.stark_shift, self.periods),
-            np.tile(self.gap_after, self.periods),
-        )
+        return SlabChain(*(np.tile(a, self.periods) for a in
+                           (self.surface_density, self.stark_shift, self.gap_after)))
 
     def mirrored(self) -> "SlabChain":
         """The chain traversed from the far side.
@@ -121,17 +108,13 @@ class SlabChain:
         """
         flat = self.repeated()
         gaps = np.concatenate([flat.gap_after[-2::-1], flat.gap_after[-1:]])
-        return SlabChain(
-            flat.surface_density[::-1].copy(),
-            flat.stark_shift[::-1].copy(),
-            gaps,
-        )
+        return SlabChain(flat.surface_density[::-1].copy(),
+                         flat.stark_shift[::-1].copy(), gaps)
 
 
 def identity_matrix(shape=()) -> TransferMatrix:
     m = np.zeros(tuple(shape) + (2, 2), dtype=complex)
-    m[..., 0, 0] = 1.0
-    m[..., 1, 1] = 1.0
+    m[..., [0, 1], [0, 1]] = 1.0
     return m
 
 
@@ -159,11 +142,7 @@ def gap_matrix(dz: float, k_brg: float, beta_i: float) -> TransferMatrix:
 
 
 def matmul2(a: TransferMatrix, b: TransferMatrix) -> TransferMatrix:
-    """Broadcasting 2x2 product via the explicit formula.
-
-    Written out elementwise so that grid chunks multiply bitwise identically
-    to the full-array call (deterministic chunked sweeps).
-    """
+    """Broadcasting 2x2 product via the explicit formula, elementwise."""
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     out = np.empty(shape + (2, 2), dtype=complex)
     out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
@@ -177,121 +156,134 @@ def det2(m: TransferMatrix):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _check_overflow(m: TransferMatrix, where: str):
-    # max(|Re|, |Im|) bounds the modulus to within sqrt(2) without computing
-    # one modulus per element; only the band near the limit pays for those
-    if np.max(np.abs(m.view(m.real.dtype))) <= _SAFE_PART:
-        return
-    peak = np.max(np.abs(m))
-    if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
-        raise OverflowGuardError(
-            f"matrix element magnitude {peak:.3e} exceeds {OVERFLOW_LIMIT:.0e} "
-            f"({where}); chain exhibits unphysical gain or ran away numerically"
-        )
+def require_finite(name: str, values) -> np.ndarray:
+    """values as floats; a ValueError names `name` and the first non-finite."""
+    a = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(a)
+    if bad.any():
+        index = tuple(map(int, np.unravel_index(int(np.argmax(bad)), a.shape)))
+        where = f" at index {index[0] if a.ndim == 1 else index}" if a.ndim else ""
+        raise ValueError(f"{name} must be finite: {a[index]}{where}")
+    return a
+
+
+def _star(a, b):
+    """Redheffer star product of amplitudes a = (r, t, r', t') then b."""
+    r1, t1, p1, u1 = a
+    r2, t2, p2, u2 = b
+    inv = 1.0 / (1.0 - p1 * r2)
+    return np.stack((r1 + t1 * u1 * r2 * inv, t1 * t2 * inv,
+                     p2 + t2 * u2 * p1 * inv, u1 * u2 * inv))
+
+
+def _amplitudes(m: TransferMatrix):
+    """(r, t, r', t') of transfer matrices with M22 != 0."""
+    t = 1.0 / m[..., 1, 1]
+    rp = -m[..., 1, 0] * t
+    return np.stack((m[..., 0, 1] * t, t, rp, m[..., 0, 0] + m[..., 0, 1] * rp))
+
+
+def _transfer(r, t, rp, tp) -> TransferMatrix:
+    """Transfer matrices of the amplitudes (r, t, r', t')."""
+    m = np.empty(np.shape(t) + (2, 2), dtype=complex)
+    with np.errstate(all="ignore"):
+        inv = 1.0 / t
+    if not np.all(np.isfinite(inv)):
+        raise EngineError("|t| below the float range: M22 = 1/t overflows")
+    m[..., 0, 0] = tp - r * rp * inv
+    m[..., 0, 1] = r * inv
+    m[..., 1, 0] = -rp * inv
+    m[..., 1, 1] = inv
+    return m
 
 
 def matrix_power(m: TransferMatrix, n: int) -> TransferMatrix:
-    """m**n by repeated squaring, with the overflow guard at every step."""
+    """m**n for transfer matrices with M22 != 0, as a star power of their
+    amplitudes by repeated squaring."""
     if n < 0:
         raise ValueError("power must be non-negative")
-    result = identity_matrix(m.shape[:-2])
-    base = m
-    k = n
-    step = 0
-    while k > 0:
-        if k & 1:
-            result = matmul2(result, base)
-            _check_overflow(result, f"matrix_power accumulate, bit {step}")
-        k >>= 1
-        if k:
-            base = matmul2(base, base)
-            _check_overflow(base, f"matrix_power square, bit {step}")
-        step += 1
-    return result
+    if n == 0:
+        return identity_matrix(m.shape[:-2])
+    base, result = _amplitudes(m), None
+    while True:
+        if n & 1:
+            result = base if result is None else _star(result, base)
+        n >>= 1
+        if not n:
+            return _transfer(*result)
+        base = _star(base, base)
 
 
-def _slab_zetas(chain: SlabChain, delta_brg, cfg: AtomResponseConfig):
-    """zeta of slab j at detuning delta - stark_shift_j; shape (n_slabs,) + grid.
-
-    The line sum is evaluated in one call over the distinct Stark shifts
-    only (one for a chain without Stark shifts) and then scaled by each
-    slab's -surface_density * prefactor.  The bits equal those of zeta over
-    the (slab, grid) broadcast, but the line-sum temporaries are the size
-    of (shifts, grid), not of the result.
-    """
-    delta = np.asarray(delta_brg, dtype=float)
+def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig):
+    """zeta of slab j at detuning delta - stark_shift_j, in (slabs,) + grid
+    blocks of at most ZETA_BLOCK elements (one slab at least).  The line sum
+    is evaluated once per distinct Stark shift and scaled by each slab's
+    -surface_density * prefactor: the bits of zeta over the broadcast."""
     col = (-1,) + (1,) * delta.ndim
     shifts, row = np.unique(chain.stark_shift, return_inverse=True)
-    zs = line_response(delta - shifts.reshape(col), cfg)[row]
-    zs *= -chain.surface_density.reshape(col) * zeta_prefactor(cfg)
-    return zs
+    lines = line_response(delta - shifts.reshape(col), cfg)
+    scale = -chain.surface_density.reshape(col) * zeta_prefactor(cfg)
+    width = max(1, ZETA_BLOCK // max(1, delta.size))
+    for j0 in range(0, chain.n_slabs, width):
+        zs = lines[row[j0:j0 + width]]
+        zs *= scale[j0:j0 + width]
+        yield zs
 
 
-def _pairwise_product(stack: TransferMatrix) -> TransferMatrix:
-    """Ordered product of a (k, 2, 2) stack in ceil(log2 k) matmul2 calls.
+def _scan(chain, delta, cfg, g):
+    """(r, t, r', t') of the chain over a grid, slab by slab.  No product is
+    written in place: numpy's in-place complex product takes another loop on
+    one-element arrays, whose bits differ in the last place."""
+    r, w, a, b = (np.zeros(delta.shape, dtype=complex) for _ in range(4))
+    t, u = np.ones(delta.shape, dtype=complex), np.ones(delta.shape, dtype=complex)
+    g2 = g * g
+    j = 0
+    for zs in _zeta_blocks(chain, delta, cfg):
+        for iz in 1j * zs:
+            np.multiply(iz, u, out=w)  # w = 1 / (1 - iz U), U = 1 + r'
+            np.subtract(1.0, w, out=w)
+            np.divide(1.0, w, out=w)
+            np.multiply(t, w, out=a)
+            np.multiply(iz, t, out=b)  # r += iz t^2 w
+            np.multiply(b, a, out=t)
+            r += t
+            np.multiply(a, g[j], out=t)  # t = g t w
+            np.multiply(u, w, out=b)  # U = 1 + g^2 (U w - 1)
+            b -= 1.0
+            np.multiply(b, g2[j], out=u)
+            u += 1.0
+            j += 1
+    return r, t, u - 1.0, t  # U = 1 + r'
 
-    Neighbours are multiplied in pairs, left factor first; an odd last
-    factor is carried to the next level.  Every level passes the overflow
-    guard; when stack[0] carries the running product, the leftmost node of
-    each level is a prefix of the chain, as the slab-by-slab guard sees it.
-    """
-    while stack.shape[0] > 1:
-        even = stack.shape[0] - stack.shape[0] % 2
-        prod = matmul2(stack[0:even:2], stack[1:even:2])
-        _check_overflow(prod, "pairwise level")
-        stack = prod if even == stack.shape[0] else \
-            np.concatenate([prod, stack[even:]])
-    return stack[0]
 
-
-def _fold(m: TransferMatrix, zs, fwd, bwd, first: int) -> TransferMatrix:
-    """m times layer j and gap j for each slab j from `first`, one at a time.
-
-    The gap is a scaling of the product's columns; the overflow guard runs
-    after every slab and names it.
-    """
-    for j, z in enumerate(zs, first):
-        m = matmul2(m, layer_matrix(z))
-        m[..., :, 0] *= fwd[j]
-        m[..., :, 1] *= bwd[j]
-        _check_overflow(m, f"slab {j}")
-    return m
+def _tree(chain, delta, cfg, g):
+    """(r, t, r', t') of the chain at one detuning: the closed-form slab
+    amplitudes reduced pairwise by star products, left factor first."""
+    iz = 1j * np.concatenate(list(_zeta_blocks(chain, delta, cfg)))
+    q = 1.0 / (1.0 - iz)
+    s = np.stack((iz * q, g * q, iz * (g * g) * q, g * q))
+    while s.shape[1] > 1:
+        even = s.shape[1] - s.shape[1] % 2
+        pairs = _star(s[:, 0:even:2], s[:, 1:even:2])
+        s = pairs if even == s.shape[1] else \
+            np.concatenate([pairs, s[:, even:]], axis=1)
+    return s[:, 0]
 
 
 def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
                      geom: LatticeGeometry) -> TransferMatrix:
-    """Ordered product of layer and gap matrices over one period of the chain.
+    """Transfer matrix of one period of the chain, layer then gap per slab.
 
     `delta_brg` may be a scalar or a grid; grid axes lead the 2x2 axes of the
-    result.  A grid is multiplied slab by slab.  A scalar detuning takes
-    blocks of BLOCK_SLABS slabs, each reduced pairwise and folded into the
-    running product; a block that trips the overflow guard on any tree level
-    or at its end is folded again slab by slab, so the error names the slab
-    the slab-by-slab product would name.  A prefix that passes the limit
-    and falls back under it at every checked node of its block goes unseen.
+    result.  A grid is scanned slab by slab, elementwise, so grid slices
+    carry the bits of the whole grid; a scalar detuning takes the pairwise
+    star tree.
     """
-    delta = np.asarray(delta_brg, dtype=float)
-    m = identity_matrix(delta.shape)
+    delta = require_finite("delta_brg", delta_brg)
     if chain.n_slabs == 0:
-        return m
-    zs = _slab_zetas(chain, delta, cfg)
-    phi = geom.k_brg * chain.gap_after * math.cos(geom.beta_i)  # as gap_matrix
-    fwd, bwd = np.exp(1j * phi), np.exp(-1j * phi)
-    if delta.ndim > 0:
-        return _fold(m, zs, fwd, bwd, 0)
-    for j0 in range(0, chain.n_slabs, BLOCK_SLABS):
-        j1 = min(j0 + BLOCK_SLABS, chain.n_slabs)
-        block = layer_matrix(zs[j0:j1])
-        block[0] = matmul2(m, block[0])
-        block[:, :, 0] *= fwd[j0:j1, None]
-        block[:, :, 1] *= bwd[j0:j1, None]
-        try:
-            product = _pairwise_product(block)
-            _check_overflow(product, "pairwise block")
-        except OverflowGuardError:
-            product = _fold(m, zs[j0:j1], fwd, bwd, j0)
-        m = product
-    return m
+        return identity_matrix(delta.shape)
+    g = np.exp(1j * (geom.k_brg * chain.gap_after * math.cos(geom.beta_i)))
+    return _transfer(*(_scan if delta.ndim else _tree)(chain, delta, cfg, g))
 
 
 def chain_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
@@ -340,6 +332,14 @@ def scatter(m: TransferMatrix):
     return ScatterResult(r, t, big_r, big_t, big_a, phi)
 
 
+def _check_overflow(amplitudes):
+    """OverflowGuardError at the first slab (column) of (2, slabs) field
+    amplitudes with a non-finite modulus or one above OVERFLOW_LIMIT."""
+    bad = ~np.all(np.abs(amplitudes) <= OVERFLOW_LIMIT, axis=0)
+    if bad.any():
+        raise OverflowGuardError(f"field amplitudes diverged at slab {np.argmax(bad)}")
+
+
 def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
                   cfg: AtomResponseConfig, geom: LatticeGeometry):
     """Standing-wave intensity |E+ e^{i k_z z} + E- e^{-i k_z z}|^2 along z.
@@ -350,8 +350,9 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
     equals |t|^2.  Returns (z, intensity) arrays with `samples_per_gap`
     points per gap.
 
-    The amplitudes are carried across the chain slab by slab; the samples
-    inside the gaps are then filled in vectorized blocks of slabs.
+    The amplitudes are carried across the chain slab by slab (they grow like
+    1/|t| in a stop band: past OVERFLOW_LIMIT, OverflowGuardError); the
+    samples inside the gaps are then filled in vectorized blocks of slabs.
     """
     if samples_per_gap < 2:
         raise ValueError("samples_per_gap must be >= 2")
@@ -369,16 +370,16 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
     iz = 1j * np.atleast_1d(zeta(flat.surface_density,
                                  float(delta_brg) - flat.stark_shift, cfg))
     exits = np.exp(1j * k_z * gaps)
-    for j in range(flat.n_slabs):
-        e_plus, e_minus = ((1.0 + iz[j]) * e_plus + iz[j] * e_minus,
-                           -iz[j] * e_plus + (1.0 - iz[j]) * e_minus)
-        if max(abs(e_plus), abs(e_minus)) > OVERFLOW_LIMIT:
-            raise OverflowGuardError(f"field amplitudes diverged at slab {j}")
-        entering[0, j] = e_plus
-        entering[1, j] = e_minus
-        if gapped[j]:
-            e_plus = e_plus * exits[j]
-            e_minus = e_minus / exits[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for j in range(flat.n_slabs):
+            e_plus, e_minus = ((1.0 + iz[j]) * e_plus + iz[j] * e_minus,
+                               -iz[j] * e_plus + (1.0 - iz[j]) * e_minus)
+            entering[0, j] = e_plus
+            entering[1, j] = e_minus
+            if gapped[j]:
+                e_plus = e_plus * exits[j]
+                e_minus = e_minus / exits[j]
+    _check_overflow(entering)
 
     # samples across the gaps, at most PROFILE_BLOCK of them per numpy call
     g = gaps[gapped]
@@ -438,8 +439,6 @@ def density_of_states(delta_grid, theta, gap_tol: float = 1e-9):
         raise ValueError("detuning grid must be uniform")
     re = theta.real
     if np.any(np.abs(np.diff(re)) > math.pi / 4.0):
-        import warnings
-
         warnings.warn("Re(theta) jumps exceed pi/4 between grid points; "
                       "the detuning grid is too coarse", stacklevel=2)
     rho = np.abs(np.gradient(re, delta))

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .engine import EngineError, ScatterResult, SlabChain, chain_matrix, \
+from .engine import ScatterResult, SlabChain, chain_matrix, require_finite, \
     scatter, unit_cell_matrix, bloch_phase, density_of_states
 from .geometry import LatticeGeometry
 from .models import two_component_lattice
@@ -53,39 +53,6 @@ class SpectrumTable:
             raise ValueError("detuning grid must be strictly increasing")
 
 
-def _fails(fn, delta) -> bool:
-    try:
-        fn(delta)
-    except EngineError:
-        return True
-    return False
-
-
-def _located(fn, delta: np.ndarray, offset: int):
-    """fn(delta); an EngineError is re-raised naming the first failing point.
-
-    Only this slice is re-evaluated, by bisection on its prefixes: fn is
-    elementwise over the grid and the guards take the worst point of the
-    stack, so a prefix fails exactly when one of its points does.  That
-    takes ceil(log2 n) calls, each a grid of the failing call's engine path.
-    `offset` is the global grid index of the slice's first point.
-    """
-    try:
-        return fn(delta)
-    except EngineError as exc:
-        points = delta.reshape(-1)
-        lo, hi = 0, points.size - 1  # the prefix ending at hi fails
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _fails(fn, points[:mid + 1]):
-                hi = mid
-            else:
-                lo = mid + 1
-        raise type(exc)(
-            f"{exc} [first failing grid point: index {offset + lo}, "
-            f"delta = {points[lo]:.6g} rad/s]") from exc
-
-
 def _chunked(fn, delta: np.ndarray):
     """fn over a detuning grid in slices of at most GRID_CHUNK points.
 
@@ -94,9 +61,8 @@ def _chunked(fn, delta: np.ndarray):
     are one call.
     """
     if delta.ndim != 1 or delta.size <= GRID_CHUNK:
-        return _located(fn, delta, 0)
-    parts = [_located(fn, delta[i:i + GRID_CHUNK], i)
-             for i in range(0, delta.size, GRID_CHUNK)]
+        return fn(delta)
+    parts = [fn(delta[i:i + GRID_CHUNK]) for i in range(0, delta.size, GRID_CHUNK)]
     if isinstance(parts[0], ScatterResult):
         return ScatterResult(*[np.concatenate([getattr(p, f.name) for p in parts])
                                for f in fields(ScatterResult)])
@@ -107,10 +73,10 @@ def sweep_scatter(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
                   geom: LatticeGeometry) -> ScatterResult:
     """Scatter coefficients over a detuning grid (rad/s), swept in chunks.
 
-    Engine failures are re-reported with the offending grid point.
+    A non-finite detuning is reported by its index in the whole grid.
     """
     return _chunked(lambda d: scatter(chain_matrix(chain, d, cfg, geom)),
-                    np.asarray(delta, dtype=float))
+                    require_finite("delta_brg", delta))
 
 
 def spectrum(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
@@ -262,7 +228,8 @@ def solve_boundary_value(chain: SlabChain, delta_brg: float,
     at the left edge of its region.  The slab jump condition couples adjacent
     regions; boundary conditions are unit incoming amplitude from the left and
     zero incoming from the right.  Solved by banded Gaussian elimination, not
-    by matrix chaining, so it cross-checks the transfer engine.
+    by chaining slabs, so it cross-checks the engine.  The band is filled
+    with array slices, one per diagonal.
     """
     from scipy.linalg import solve_banded  # only the oracle needs scipy
 
@@ -279,37 +246,29 @@ def solve_boundary_value(chain: SlabChain, delta_brg: float,
     phases = np.ones(n, dtype=complex)
     phases[1:] = np.exp(1j * k_z * flat.gap_after[:-1])
 
-    # unknown vector x = [b_0, a_1, b_1, ..., a_{n-1}, b_{n-1}, a_n]
+    iz = 1j * zs
+    if not np.all(np.isfinite(iz)):
+        bad = int(np.argmax(~np.isfinite(iz)))
+        raise OracleError(f"non-finite layer response at slab {bad}")
+
+    # unknown vector x = [b_0, a_1, b_1, ..., a_{n-1}, b_{n-1}, a_n]; slab j
+    # gives rows 2j and 2j+1:
+    #   a_{j+1} = (1+iz) ph a_j + iz b_j / ph
+    #   b_{j+1} = -iz ph a_j + (1-iz) b_j / ph
+    # with a_0 = 1 moved to the RHS and b_n = 0.  Row i, column k is stored
+    # at ab[upper + i - k, k]: a_j is column 2j-1, b_j column 2j.
     size = 2 * n
     lower = upper = 2
     ab = np.zeros((lower + upper + 1, size), dtype=complex)
     rhs = np.zeros(size, dtype=complex)
-
-    def put(row, col, value):
-        ab[upper + row - col, col] = value
-
-    for j in range(n):
-        iz = 1j * zs[j]
-        ph = phases[j]
-        if not np.isfinite(iz):
-            raise OracleError(f"non-finite layer response at slab {j}")
-        row_a, row_b = 2 * j, 2 * j + 1
-        # a_{j+1} = (1+iz) ph a_j + iz b_j / ph ; b_{j+1} = -iz ph a_j + (1-iz) b_j / ph
-        col_aj = 2 * j - 1   # a_j (absent for j = 0: folded into the RHS)
-        col_bj = 2 * j       # b_j
-        col_aj1 = 2 * j + 1  # a_{j+1}
-        col_bj1 = 2 * j + 2  # b_{j+1} (absent for j = n-1: fixed to 0)
-        if j == 0:
-            rhs[row_a] += (1.0 + iz) * ph
-            rhs[row_b] += -iz * ph
-        else:
-            put(row_a, col_aj, -(1.0 + iz) * ph)
-            put(row_b, col_aj, iz * ph)
-        put(row_a, col_bj, -iz / ph)
-        put(row_b, col_bj, -(1.0 - iz) / ph)
-        put(row_a, col_aj1, 1.0)
-        if j < n - 1:
-            put(row_b, col_bj1, 1.0)
+    ab[3, 1:-1:2] = -(1.0 + iz[1:]) * phases[1:]  # a_j in row 2j, j >= 1
+    ab[4, 1:-1:2] = iz[1:] * phases[1:]           # a_j in row 2j+1
+    ab[2, 0::2] = -iz / phases                    # b_j in row 2j
+    ab[3, 0::2] = -(1.0 - iz) / phases            # b_j in row 2j+1
+    ab[1, 1::2] = 1.0                             # a_{j+1} in row 2j
+    ab[1, 2::2] = 1.0                             # b_{j+1} in row 2j+1, j < n-1
+    rhs[0] = (1.0 + iz[0]) * phases[0]
+    rhs[1] = -iz[0] * phases[0]
 
     try:
         x = solve_banded((lower, upper), ab, rhs)
@@ -334,7 +293,7 @@ def band_structure(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
     grid = np.asarray(delta_over_gamma, dtype=float)
     theta = np.atleast_1d(_chunked(
         lambda d: bloch_phase(unit_cell_matrix(chain, d, cfg, geom)),
-        grid * cfg.gamma))
+        require_finite("delta_brg", grid * cfg.gamma)))
     theta = np.unwrap(theta.real) + 1j * theta.imag
     rho = density_of_states(grid, theta)
     return theta, rho

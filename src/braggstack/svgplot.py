@@ -26,23 +26,29 @@ class Series:
     label: str = ""
 
 
+def _widened(lo: float, hi: float) -> float:
+    """hi, or for a constant axis an upper end above lo: lo + 1, or a few
+    ulps of lo from 2^53 on, where lo + 1 rounds back to lo."""
+    if hi > lo:
+        return hi
+    return lo + (1.0 if abs(lo) < 2.0**53 else abs(lo) * 2.0**-50)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 6):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("tick range must be finite")
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _widened(lo, hi)
     raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0  # may underflow
+    step = next((m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag), 0.0)
+    if step < math.ulp(max(abs(lo), abs(hi))):
+        return [lo]  # a step below an ulp of the axis gives no distinct ticks
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
+        t = first + len(ticks) * step
     return ticks
 
 
@@ -59,10 +65,7 @@ def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
     ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_hi, y_hi = _widened(x_lo, x_hi), _widened(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -38,10 +38,10 @@ def _random_chain(rng, max_slabs=20):
 
 
 def check_oracle_agreement(n_chains=500, tol=1e-10, seed=DEFAULT_SEED):
-    """Transfer product vs boundary-value solver on randomized chains.
+    """Chain amplitudes vs boundary-value solver on randomized chains.
 
-    Each detuning is taken as a scalar (pairwise slab blocks) and as a
-    one-point grid (slab-by-slab product); the worst of both is reported.
+    Each detuning is taken as a scalar (pairwise star tree) and as a
+    one-point grid (slab-by-slab scan); the worst of both is reported.
     """
     rng = np.random.default_rng(seed)
     geom = bragg_matched_geometry()
@@ -76,10 +76,12 @@ def check_single_slab_closed_form(tol=1e-12):
 
 
 def check_unimodularity(n_slabs=10_000, tol=1e-9, seed=DEFAULT_SEED):
-    """det = 1 along a long random chain.
+    """det = 1 for the transfer matrix of a long random chain.
 
-    The detuning is taken as a scalar (pairwise slab blocks) and as a
-    one-point grid (slab-by-slab product); the worst of both is reported.
+    det M = t'/t, so this checks that the amplitudes stay reciprocal along
+    10^4 slabs and convert back to a unimodular matrix.  The detuning is
+    taken as a scalar (pairwise star tree) and as a one-point grid
+    (slab-by-slab scan); the worst of both is reported.
     """
     rng = np.random.default_rng(seed + 1)
     geom = bragg_matched_geometry()
@@ -159,7 +161,7 @@ def check_thin_grating(tol=0.01):
 
 
 def check_power_path(tol=1e-10):
-    """Repeated squaring agrees with the sequential product."""
+    """Star powers of the cell agree with the flat chain's slab-by-slab scan."""
     geom = bragg_matched_geometry()
     cfg = default_config()
     chain = SlabChain([1.215e11], [0.0], [geom.lambda_dip / 2.0], periods=613)

@@ -1,11 +1,11 @@
 import math
-import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.engine import OVERFLOW_LIMIT, _check_overflow
+from braggstack.engine import OVERFLOW_LIMIT, ZETA_BLOCK, _check_overflow, _zeta_blocks
 
 
 def make_random_chain(rng, max_slabs=20, gamma=bs.GAMMA_RB85_D2):
@@ -149,13 +149,26 @@ def test_mirror_symmetric_detuning_of_lattice_constant(cfg1, geom):
     assert np.max(np.abs(spectra[+1] - spectra[-1][::-1])) < 1e-12
 
 
-def test_overflow_guard_trips(geom):
-    # gain medium (Im zeta < 0) blows up geometrically: guard must abort
-    quarter = math.pi / 2 / (geom.k_brg * math.cos(geom.beta_i))
-    cell = bs.matmul2(bs.layer_matrix(-1e6j),
-                      bs.gap_matrix(quarter, geom.k_brg, geom.beta_i))
-    with pytest.raises(bs.OverflowGuardError):
-        bs.matrix_power(cell, 8)
+def test_overflow_guard_trips(cfg, geom):
+    # deep in the stop band of 20,000 detuned periods the field recurrence
+    # grows like 1/|t|; the guard names the first slab whose entering
+    # amplitudes pass the limit in the written-out recurrence
+    g8 = geom.with_lattice_mismatch(0.8e-9)
+    chain = bs.perfect_lattice(3e17, 20_000, g8).repeated()
+    r = bs.scatter(bs.chain_matrix(chain, 0.0, cfg, g8)).r
+    iz = 1j * bs.zeta(chain.surface_density, -chain.stark_shift, cfg)
+    exits = np.exp(1j * g8.k_brg * math.cos(g8.beta_i) * chain.gap_after)
+    e_plus, e_minus = 1.0 + 0.0j, r
+    for j in range(chain.n_slabs):
+        e_plus, e_minus = ((1.0 + iz[j]) * e_plus + iz[j] * e_minus,
+                           -iz[j] * e_plus + (1.0 - iz[j]) * e_minus)
+        if max(abs(e_plus), abs(e_minus)) > OVERFLOW_LIMIT:
+            break
+        e_plus, e_minus = e_plus * exits[j], e_minus / exits[j]
+    assert 0 < j < chain.n_slabs - 1
+    with pytest.raises(bs.OverflowGuardError,
+                       match=rf"^field amplitudes diverged at slab {j}$"):
+        bs.field_profile(chain, 0.0, 4, cfg, g8)
 
 
 def test_empty_chain_is_identity(cfg, geom):
@@ -248,12 +261,45 @@ def test_slab_chain_validation():
         bs.SlabChain([1.0, 2.0], [0.0], [0.0])
 
 
+@pytest.mark.parametrize("field", ["surface_density", "stark_shift", "gap_after"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_slab_chain_rejects_non_finite_values(field, bad):
+    # the error names the field and the first bad index
+    values = {"surface_density": np.ones(6), "stark_shift": np.zeros(6),
+              "gap_after": np.ones(6)}
+    values[field][[2, 4]] = bad
+    with pytest.raises(ValueError, match=rf"^{field} must be finite: "
+                                         rf"{bad} at index 2$"):
+        bs.SlabChain(**values)
+
+
+def test_engine_rejects_non_finite_detunings(cfg, geom):
+    chain = bs.perfect_lattice(3e17, 3, geom)
+    with pytest.raises(ValueError, match=r"^delta_brg must be finite: nan$"):
+        bs.chain_matrix(chain, np.nan, cfg, geom)
+    grid = np.zeros(7)
+    grid[[5, 6]] = np.inf, np.nan
+    with pytest.raises(ValueError, match=r"^delta_brg must be finite: inf at index 5$"):
+        bs.unit_cell_matrix(chain, grid, cfg, geom)
+    grid = np.zeros((2, 3))
+    grid[1, 0] = -np.inf
+    with pytest.raises(ValueError, match=r"finite: -inf at index \(1, 0\)$"):
+        bs.chain_matrix(chain, grid, cfg, geom)
+
+
+def _slab_zetas(chain, delta, cfg):
+    blocks = list(_zeta_blocks(chain, delta, cfg))
+    assert all(b.size <= max(ZETA_BLOCK, delta.size) for b in blocks)
+    return np.concatenate(blocks)
+
+
 def test_slab_zetas_equal_broadcast_zeta_bitwise(cfg, geom):
     # one line-sum call over the distinct Stark shifts, same bits as zeta
-    # over the (slab, grid) broadcast and, on a grid, as per-slab calls
+    # over the (slab, grid) broadcast and, on a grid, as per-slab calls;
+    # the 1101-point grid comes in blocks of 59 slabs
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
-    two = bs.two_component_lattice(3e17, 0.2, 4, 20, geom)
+    two = bs.two_component_lattice(3e17, 0.2, 4, 20, geom).repeated()
     assert np.unique(stark.stark_shift).size > 1
     grid = bs.detuning_grid() * cfg.gamma
     for chain in (stark, two):
@@ -261,27 +307,56 @@ def test_slab_zetas_equal_broadcast_zeta_bitwise(cfg, geom):
             col = (-1,) + (1,) * delta.ndim
             want = bs.zeta(chain.surface_density.reshape(col),
                            delta - chain.stark_shift.reshape(col), cfg)
-            got = bs.engine._slab_zetas(chain, delta, cfg)
+            got = _slab_zetas(chain, delta, cfg)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         per_slab = np.stack([bs.zeta(sd, grid - st, cfg) for sd, st in
                              zip(chain.surface_density, chain.stark_shift)])
-        assert bs.engine._slab_zetas(chain, grid, cfg).tobytes() == \
-            per_slab.tobytes()
+        assert _slab_zetas(chain, grid, cfg).tobytes() == per_slab.tobytes()
+
+
+def _star_scan(chain, delta, cfg, geom):
+    """The written-out slab-by-slab scan on (r, t, U = 1 + r'), converted to
+    a transfer matrix."""
+    g = np.exp(1j * (geom.k_brg * chain.gap_after * math.cos(geom.beta_i)))
+    r = np.zeros(delta.shape, dtype=complex)
+    t, u = np.ones(delta.shape, dtype=complex), np.ones(delta.shape, dtype=complex)
+    for j, (sd, st) in enumerate(zip(chain.surface_density, chain.stark_shift)):
+        iz = 1j * bs.zeta(sd, delta - st, cfg)
+        w = 1.0 / (1.0 - iz * u)
+        a = t * w
+        r = r + (iz * t) * a
+        t = a * g[j]
+        u = (u * w - 1.0) * (g * g)[j] + 1.0
+    rp, inv = u - 1.0, 1.0 / t
+    m = np.empty(delta.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = t - r * rp * inv
+    m[..., 0, 1] = r * inv
+    m[..., 1, 0] = -rp * inv
+    m[..., 1, 1] = inv
+    return m
+
+
+def _sequential_fold(chain, delta, cfg, geom):
+    """The written-out transfer-matrix product, gap after slab."""
+    m = bs.identity_matrix(np.shape(delta))
+    for sd, st, g in zip(chain.surface_density, chain.stark_shift, chain.gap_after):
+        m = bs.matmul2(m, bs.layer_matrix(bs.zeta(sd, delta - st, cfg)))
+        m = bs.matmul2(m, bs.gap_matrix(g, geom.k_brg, geom.beta_i))
+    return m
 
 
 def test_unit_cell_matrix_on_grids_is_sequential_fold_bitwise(cfg, geom):
-    # any grid, one point included, is multiplied slab by slab, gap after slab
+    # any grid, one point included, is scanned slab by slab, gap after slab:
+    # the bits of the written-out scan, and the transfer-matrix product to
+    # rounding
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
     for delta in (bs.detuning_grid() * cfg.gamma, np.array([0.7 * cfg.gamma])):
         for chain in (stark, bs.two_component_lattice(3e17, 0.2, 4, 20, geom)):
-            m = bs.identity_matrix(delta.shape)
-            for sd, st, g in zip(chain.surface_density, chain.stark_shift,
-                                 chain.gap_after):
-                m = bs.matmul2(m, bs.layer_matrix(bs.zeta(sd, delta - st, cfg)))
-                m = bs.matmul2(m, bs.gap_matrix(g, geom.k_brg, geom.beta_i))
+            m = _sequential_fold(chain, delta, cfg, geom)
             got = bs.unit_cell_matrix(chain, delta, cfg, geom)
-            assert got.tobytes() == m.tobytes()
+            assert got.tobytes() == _star_scan(chain, delta, cfg, geom).tobytes()
+            assert np.max(np.abs(got - m)) <= 1e-12 * np.max(np.abs(m))
 
 
 def _disordered_flat_chain(rng, geom):
@@ -291,8 +366,8 @@ def _disordered_flat_chain(rng, geom):
 
 
 def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom):
-    # one detuning over 9,900 disordered slabs takes the pairwise reduction;
-    # the same detuning as a one-point grid takes the slab-by-slab product
+    # one detuning over 9,900 disordered slabs takes the pairwise star tree;
+    # the same detuning as a one-point grid takes the slab-by-slab scan
     rng = np.random.default_rng(2024)
     for delta in rng.uniform(-3, 3, 3) * cfg.gamma:
         chain = _disordered_flat_chain(rng, geom)
@@ -305,22 +380,65 @@ def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom):
         assert abs(res.r - r_o) < 1e-10 and abs(res.t - t_o) < 1e-10
 
 
-def _guard_slab(chain, delta, cfg, geom):
-    with pytest.raises(bs.OverflowGuardError) as err:
-        bs.chain_matrix(chain, delta, cfg, geom)
-    return re.search(r"slab \d+", str(err.value)).group()
-
-
-def test_pairwise_guard_names_the_slab_of_the_sequential_product(cfg, geom):
-    # on resonance the flat 8,000-slab detuned lattice passes the guard limit
-    # inside a pairwise block; that block is folded again slab by slab, so
-    # the scalar call names the slab that a one-point grid names
+def test_transmission_below_float_range_raises(cfg, geom):
+    # |t| ~ 1e-243 at 10^5 detuned periods is still a transfer matrix;
+    # at 3 * 10^5 periods 1/t leaves the float range
     g8 = geom.with_lattice_mismatch(0.8e-9)
-    flat = bs.perfect_lattice(3e17, 8_000, g8).repeated()
-    slab = _guard_slab(flat, 0.0, cfg, g8)
-    assert int(slab.split()[1]) % bs.engine.BLOCK_SLABS != \
-        bs.engine.BLOCK_SLABS - 1
-    assert slab == _guard_slab(flat, np.zeros(1), cfg, g8)
+    t = bs.scatter(bs.chain_matrix(bs.perfect_lattice(3e17, 100_000, g8), 0.0,
+                                   cfg, g8)).t
+    assert 0.0 < abs(t) < 1e-200
+    for delta in (0.0, np.zeros(2)):
+        with pytest.raises(bs.EngineError, match="below the float range"):
+            bs.chain_matrix(bs.perfect_lattice(3e17, 300_000, g8), delta, cfg, g8)
+
+
+def _passive_cell(zs, phases):
+    """Product of point layers (Im zeta >= 0), each followed by a gap phase."""
+    m = bs.identity_matrix()
+    for z, phase in zip(zs, phases):
+        m = bs.matmul2(m, bs.layer_matrix(z))
+        m = bs.matmul2(m, np.diag([np.exp(1j * phase), np.exp(-1j * phase)]))
+    return m
+
+
+_zetas = st.builds(complex, st.floats(-0.3, 0.3), st.floats(0.0, 0.3))
+_phases = st.floats(0.0, 2 * math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(zs=st.lists(_zetas, min_size=1, max_size=3),
+       phases=st.lists(_phases, min_size=3, max_size=3),
+       scale=st.builds(lambda r, a: r * complex(math.cos(a), math.sin(a)),
+                       st.floats(0.8, 1.25), _phases),
+       n=st.integers(0, 40))
+def test_matrix_power_equals_repeated_matmul2(zs, phases, scale, n):
+    # a complex scale makes det != 1, so t' != t: the general star product
+    cell = scale * _passive_cell(zs, phases)
+    ref = bs.identity_matrix()
+    for _ in range(n):
+        ref = bs.matmul2(ref, cell)
+    got = bs.matrix_power(cell, n)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+_slab_values = st.tuples(st.floats(0.0, 3e11), st.floats(-5.0, 5.0),
+                         st.floats(0.0, 1.5e-6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(slabs=st.lists(_slab_values, min_size=1, max_size=5),
+       periods=st.integers(1, 400),
+       deltas=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=4))
+def test_star_power_equals_sequential_scan(cfg, geom, slabs, periods, deltas):
+    # the periodic path (star power of the cell) against the flat chain
+    # scanned slab by slab, over passive chains from thin to opaque
+    sd, shift, gap = (np.array(v) for v in zip(*slabs))
+    chain = bs.SlabChain(sd, shift * cfg.gamma, gap, periods=periods)
+    delta = np.array(deltas) * cfg.gamma
+    fast = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
+    slow = bs.scatter(bs.chain_matrix(chain.repeated(), delta, cfg, geom))
+    assert np.max(np.abs(fast.r - slow.r)) < 1e-10
+    assert np.max(np.abs(fast.t - slow.t)) < 1e-10
 
 
 def _reference_profile(chain, delta, samples_per_gap, r, cfg, geom):
@@ -367,25 +485,15 @@ def test_field_profile_equals_reference_loop_bitwise(cfg, geom):
             assert intensity.tobytes() == i_ref.tobytes()
 
 
-def _modulus_guard(m, where):
-    # the guard as a plain modulus check: the reference for its decision
-    peak = np.max(np.abs(m))
-    if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
-        raise bs.OverflowGuardError(
-            f"matrix element magnitude {peak:.3e} exceeds "
-            f"{OVERFLOW_LIMIT:.0e} ({where}); chain exhibits unphysical "
-            f"gain or ran away numerically")
-
-
 _DIAGONAL = complex(1.0, 1.0) / math.sqrt(2.0)  # modulus 1, equal parts
 
 
 @pytest.mark.parametrize("entry, trips", [
     (1e12 * _DIAGONAL * (1 - 1e-15), False),
     (1e12 * _DIAGONAL * (1 + 1e-15), True),
-    (0.70709e12 * complex(1, 1), False),  # parts under the cheap bound
-    (0.7072e12 * complex(1, 1), True),    # parts over it, modulus over 1e12
-    (complex(0.8e12, 0.0), False),        # parts over it, modulus under 1e12
+    (0.70709e12 * complex(1, 1), False),
+    (0.7072e12 * complex(1, 1), True),
+    (complex(0.8e12, 0.0), False),
     (complex(0.0, 1e12), False),
     (complex(0.0, np.nextafter(1e12, np.inf)), True),
     (complex(-1e12, 0.0), False),
@@ -395,21 +503,20 @@ _DIAGONAL = complex(1.0, 1.0) / math.sqrt(2.0)  # modulus 1, equal parts
     (complex(0.0, -np.inf), True),
 ])
 def test_overflow_guard_decides_as_the_modulus_check(entry, trips):
-    m = bs.identity_matrix((3,))
-    m[1, 0, 1] = entry
-    assert (not np.isfinite(abs(entry)) or abs(entry) > 1e12) == trips
-    try:
-        _modulus_guard(m, "probe")
-        expected = None
-    except bs.OverflowGuardError as exc:
-        expected = str(exc)
-    assert (expected is not None) == trips
-    if trips:
-        with pytest.raises(bs.OverflowGuardError) as got:
-            _check_overflow(m, "probe")
-        assert str(got.value) == expected
-    else:
-        _check_overflow(m, "probe")
+    # field_profile's guard over (E+, E-) entering each slab: a slab trips
+    # exactly when the modulus of either amplitude is non-finite or above
+    # the limit, and the first such slab is named
+    assert (not np.isfinite(abs(entry)) or abs(entry) > OVERFLOW_LIMIT) == trips
+    for row in (0, 1):
+        amplitudes = np.ones((2, 4), dtype=complex)
+        amplitudes[row, 2] = entry
+        amplitudes[1 - row, 3] = entry
+        if trips:
+            with pytest.raises(bs.OverflowGuardError,
+                               match=r"^field amplitudes diverged at slab 2$"):
+                _check_overflow(amplitudes)
+        else:
+            _check_overflow(amplitudes)
 
 
 @pytest.mark.parametrize("periods", [1, 3])

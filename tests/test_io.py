@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import braggstack as bs
@@ -217,15 +217,48 @@ _coords = st.one_of(
 def test_render_svg_points_equal_per_point_formatting(data):
     series = [Series(np.asarray(x).astype(dtype), np.asarray(y).astype(dtype),
                      f"s{i}") for i, (x, y, dtype) in enumerate(data)]
-    for axis in ("x", "y"):
-        values = np.concatenate([getattr(s, axis).astype(float) for s in series])
-        spread = float(values.max() - values.min())
-        # the tick spacing fails on spreads of a few ulps; keep clear of those
-        assume(spread == 0.0 or spread > 1e-9 * max(1.0, float(np.abs(values).max())))
     doc = render_svg(series, "x", "y")
     points = [line.split('points="')[1].split('"')[0]
               for line in doc.splitlines() if line.startswith("<polyline")]
     assert points == _polylines_per_point(series)
+
+
+def _ulps_from(base, k):
+    v = base
+    for _ in range(k):
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.one_of(st.floats(-1e300, 1e300, allow_subnormal=True),
+                      st.sampled_from([0.0, 1.0, -1.0, 5e-324, 2.0**53, -2.0**53,
+                                       2.0**53 - 1.0, 2.0**60, 1e300, -1e300])),
+       ulps=st.lists(st.integers(0, 8), min_size=1, max_size=6),
+       huge=st.booleans())
+def test_render_svg_near_constant_and_huge_series(base, ulps, huge):
+    # y spans at most 8 ulps of its base, constant y included; x is the same
+    # near-constant series or a plain 0..n range
+    y = np.array([_ulps_from(base, k) for k in ulps])
+    x = y.copy() if huge else np.arange(y.size, dtype=float)
+    doc = render_svg([Series(x, y)], "x", "y")
+    assert "nan" not in doc and "inf" not in doc
+    lo, hi = float(y.min()), float(y.max())
+    pad = 0.05 * (svgplot._widened(lo, hi) - lo)
+    lo, hi = lo - pad, svgplot._widened(lo, hi) + pad
+    ticks = svgplot._nice_ticks(lo, hi)
+    assert 1 <= len(ticks) <= 12
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+    assert all(lo - abs(lo) * 1e-15 <= t <= hi + abs(hi) * 1e-15 for t in ticks)
+
+
+@pytest.mark.parametrize("value", [2.0**53, -2.0**53, 1e20, 1e300])
+def test_constant_axis_above_2_53_widens_relatively(value):
+    # lo + 1 rounds back to lo from 2^53 on; the axis still gets a width
+    assert svgplot._widened(value, value) > value
+    doc = render_svg([Series(np.array([value, value]), np.array([value, value]))],
+                     "x", "y")
+    assert "nan" not in doc and "inf" not in doc
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
