@@ -3,170 +3,132 @@
 Subcommands: spectrum, scan-lattice, scan-atoms, profile, bands, powers,
 verify.  Each reads the run configuration (all units explicit, defaults
 echoed into output metadata) and writes CSV tables and optional SVG plots
-whose bytes are identical across runs.
+whose bytes are identical across runs.  The six output commands are rows of
+`COMMANDS`; one runner loads the configuration and writes what each
+command's compute function returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config_text, parse_config
-from .engine import field_profile, scatter, chain_matrix
+from .config import ConfigError, default_config_text, parse_config
+from .engine import field_profile
 from .experiments import atom_number_to_density, band_structure, detected_powers, \
     lattice_constant_scan, saturation_scan, spectrum, sweep_scatter
 from .svgplot import Series, render_svg, spectrum_series, write_svg
-from .tableio import write_csv, write_spectrum_csv
+from .tableio import spectrum_columns, write_csv
 from .verify import run_verification
 
-
-def _load_config(args) -> RunConfig:
-    if args.config is None:
-        text = default_config_text()
-    else:
-        text = Path(args.config).read_text(encoding="utf-8")
-    return parse_config(text)
+# A compute function maps a RunConfig to (csv_files, svg): csv_files lists
+# (name suffix, columns, metadata) and svg is (name suffix, series, x label,
+# y label).  Files are named <scan.out><suffix>.csv/.svg, and every CSV also
+# records the run's echoed configuration.
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _spectrum(run):
+    table = spectrum(run.build_chain(), run.scan.detuning_grid(), run.response,
+                     run.geometry)
+    series = [Series(table.delta_over_gamma, table.R, "R"),
+              Series(table.delta_over_gamma, table.T, "T"),
+              Series(table.delta_over_gamma, table.A, "A")]
+    return [("", spectrum_columns(table), table.metadata)], \
+        ("", series, "delta / Gamma", "coefficient")
 
 
-def _echo_metadata(run: RunConfig) -> dict:
-    return dict(run.echo)
-
-
-def cmd_spectrum(args) -> int:
-    run = _load_config(args)
-    out = _out_dir(args)
-    chain = run.build_chain()
-    grid = run.scan.detuning_grid()
-    table = spectrum(chain, grid, run.response, run.geometry,
-                     metadata=_echo_metadata(run))
-    csv_path = out / f"{run.scan.out}.csv"
-    write_spectrum_csv(table, csv_path)
-    print(f"wrote {csv_path}")
-    if args.svg:
-        series = [Series(table.delta_over_gamma, table.R, "R"),
-                  Series(table.delta_over_gamma, table.T, "T"),
-                  Series(table.delta_over_gamma, table.A, "A")]
-        svg_path = out / f"{run.scan.out}.svg"
-        write_svg(svg_path, render_svg(series, "delta / Gamma", "coefficient"))
-        print(f"wrote {svg_path}")
-    return 0
-
-
-def cmd_scan_lattice(args) -> int:
-    run = _load_config(args)
-    out = _out_dir(args)
-    grid = run.scan.detuning_grid()
+def _scan_lattice(run):
     tables = lattice_constant_scan(
-        run.scan.delta_lambdas, run.build_chain, grid, run.response,
-        run.geometry)
-    for dl, table in zip(run.scan.delta_lambdas, tables):
-        table.metadata.update(_echo_metadata(run))
-        path = out / f"{run.scan.out}_dl{dl * 1e9:+.3f}nm.csv"
-        write_spectrum_csv(table, path)
-        print(f"wrote {path}")
-    if args.svg:
-        svg_path = out / f"{run.scan.out}_family.svg"
-        write_svg(svg_path, render_svg(spectrum_series(tables),
-                                       "delta / Gamma", "R"))
-        print(f"wrote {svg_path}")
-    return 0
+        run.scan.delta_lambdas, run.build_chain, run.scan.detuning_grid(),
+        run.response, run.geometry)
+    files = [(f"_dl{dl * 1e9:+.3f}nm", spectrum_columns(table), table.metadata)
+             for dl, table in zip(run.scan.delta_lambdas, tables)]
+    return files, ("_family", spectrum_series(tables), "delta / Gamma", "R")
 
 
-def cmd_scan_atoms(args) -> int:
-    run = _load_config(args)
-    out = _out_dir(args)
+def _scan_atoms(run):
     numbers, max_r = saturation_scan(
         run.scan.atom_numbers(), run.geometry, run.response,
         n_s=run.model.n_s, f_dw=run.model.f_dw, n_ss=run.model.n_ss,
         delta_over_gamma=run.scan.detuning_grid())
     densities = np.array([atom_number_to_density(n, run.geometry)
                           for n in numbers])
-    path = out / f"{run.scan.out}_saturation.csv"
-    write_csv(path, {"atom_number": numbers, "density_m3": densities,
-                     "max_R": max_r}, _echo_metadata(run))
-    print(f"wrote {path}")
-    if args.svg:
-        svg_path = out / f"{run.scan.out}_saturation.svg"
-        write_svg(svg_path, render_svg(
-            [Series(numbers, max_r, "max R")], "atom number", "max R"))
-        print(f"wrote {svg_path}")
-    return 0
+    columns = {"atom_number": numbers, "density_m3": densities, "max_R": max_r}
+    return [("_saturation", columns, {})], \
+        ("_saturation", [Series(numbers, max_r, "max R")], "atom number", "max R")
 
 
-def cmd_profile(args) -> int:
-    run = _load_config(args)
-    out = _out_dir(args)
-    chain = run.build_chain()
-    delta = run.scan.profile_delta * run.response.gamma
-    z, intensity = field_profile(chain, delta, run.scan.samples_per_gap,
-                                 run.response, run.geometry)
-    meta = _echo_metadata(run)
-    meta["profile_delta_over_gamma"] = f"{run.scan.profile_delta:g}"
-    path = out / f"{run.scan.out}_profile.csv"
-    write_csv(path, {"z_m": z,
-                     "z_over_lambda_dip": z / run.geometry.lambda_dip,
-                     "intensity": intensity}, meta)
-    print(f"wrote {path}")
-    if args.svg:
-        svg_path = out / f"{run.scan.out}_profile.svg"
-        write_svg(svg_path, render_svg(
-            [Series(z / run.geometry.lambda_dip, intensity, "")],
-            "z / lambda_dip", "I / I_in"))
-        print(f"wrote {svg_path}")
-    return 0
+def _profile(run):
+    z, intensity = field_profile(
+        run.build_chain(), run.scan.profile_delta * run.response.gamma,
+        run.scan.samples_per_gap, run.response, run.geometry)
+    z_dip = z / run.geometry.lambda_dip
+    columns = {"z_m": z, "z_over_lambda_dip": z_dip, "intensity": intensity}
+    meta = {"profile_delta_over_gamma": f"{run.scan.profile_delta:g}"}
+    return [("_profile", columns, meta)], \
+        ("_profile", [Series(z_dip, intensity, "")], "z / lambda_dip", "I / I_in")
 
 
-def cmd_bands(args) -> int:
-    run = _load_config(args)
-    out = _out_dir(args)
-    chain = run.build_chain()
+def _bands(run):
     grid = run.scan.detuning_grid()
-    theta, rho = band_structure(chain, grid, run.response, run.geometry)
-    path = out / f"{run.scan.out}_bands.csv"
-    write_csv(path, {"delta_over_gamma": grid, "re_theta": theta.real,
-                     "im_theta": theta.imag, "dos": rho}, _echo_metadata(run))
-    print(f"wrote {path}")
-    if args.svg:
-        svg_path = out / f"{run.scan.out}_bands.svg"
-        write_svg(svg_path, render_svg(
-            [Series(grid, theta.real, "Re theta"),
-             Series(grid, theta.imag, "Im theta")],
-            "delta / Gamma", "Bloch phase (rad)"))
-        print(f"wrote {svg_path}")
-    return 0
+    theta, rho = band_structure(run.build_chain(), grid, run.response,
+                                run.geometry)
+    columns = {"delta_over_gamma": grid, "re_theta": theta.real,
+               "im_theta": theta.imag, "dos": rho}
+    series = [Series(grid, theta.real, "Re theta"),
+              Series(grid, theta.imag, "Im theta")]
+    return [("_bands", columns, {})], \
+        ("_bands", series, "delta / Gamma", "Bloch phase (rad)")
 
 
-def cmd_powers(args) -> int:
-    run = _load_config(args)
-    out = _out_dir(args)
-    chain = run.build_chain()
+def _powers(run):
     grid = run.scan.detuning_grid()
-    res = sweep_scatter(chain, grid * run.response.gamma, run.response,
-                        run.geometry)
+    res = sweep_scatter(run.build_chain(), grid * run.response.gamma,
+                        run.response, run.geometry)
     reading = detected_powers(res, run.scan.eta, run.scan.p_i)
-    meta = _echo_metadata(run)
-    path = out / f"{run.scan.out}_powers.csv"
-    write_csv(path, {"delta_over_gamma": grid, "P_r_W": reading.p_r,
-                     "P_t_W": reading.p_t, "P_a_W": reading.p_a}, meta)
-    print(f"wrote {path}")
+    columns = {"delta_over_gamma": grid, "P_r_W": reading.p_r,
+               "P_t_W": reading.p_t, "P_a_W": reading.p_a}
+    series = [Series(grid, reading.p_r * 1e6, "P_r"),
+              Series(grid, reading.p_t * 1e6, "P_t"),
+              Series(grid, reading.p_a * 1e6, "P_a")]
+    return [("_powers", columns, {})], \
+        ("_powers", series, "delta / Gamma", "power (uW)")
+
+
+COMMANDS = {
+    "spectrum": (_spectrum, "R/T/A/phi spectrum over the detuning grid"),
+    "scan-lattice": (_scan_lattice,
+                     "family of spectra over lattice-constant mismatches"),
+    "scan-atoms": (_scan_atoms, "peak reflectivity vs atom number"),
+    "profile": (_profile, "intensity profile along the lattice"),
+    "bands": (_bands, "Bloch phase and density of states"),
+    "powers": (_powers, "detected powers P_r, P_t, P_a"),
+}
+
+
+def run_command(compute, args) -> int:
+    """Load the configuration, compute, and write the CSV files and SVG."""
+    if args.config is None:
+        text = default_config_text()
+    else:
+        text = Path(args.config).read_text(encoding="utf-8")
+    run = parse_config(text)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_files, (svg_suffix, series, xlabel, ylabel) = compute(run)
+    for suffix, columns, metadata in csv_files:
+        path = out / f"{run.scan.out}{suffix}.csv"
+        write_csv(path, columns, {**metadata, **run.echo})
+        print(f"wrote {path}")
     if args.svg:
-        svg_path = out / f"{run.scan.out}_powers.svg"
-        write_svg(svg_path, render_svg(
-            [Series(grid, reading.p_r * 1e6, "P_r"),
-             Series(grid, reading.p_t * 1e6, "P_t"),
-             Series(grid, reading.p_a * 1e6, "P_a")],
-            "delta / Gamma", "power (uW)"))
-        print(f"wrote {svg_path}")
+        path = out / f"{run.scan.out}{svg_suffix}.svg"
+        write_svg(path, render_svg(series, xlabel, ylabel))
+        print(f"wrote {path}")
     return 0
 
 
@@ -184,6 +146,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
@@ -196,32 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braggstack",
         description="Bragg reflection spectra of 1D cold-atom lattices "
-                    "via transfer matrices")
+                    "via scattering-matrix products")
     parser.add_argument("--version", action="version",
                         version=f"braggstack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("spectrum", parents=[common],
-                   help="R/T/A/phi spectrum over the detuning grid"
-                   ).set_defaults(func=cmd_spectrum)
-    sub.add_parser("scan-lattice", parents=[common],
-                   help="family of spectra over lattice-constant mismatches"
-                   ).set_defaults(func=cmd_scan_lattice)
-    sub.add_parser("scan-atoms", parents=[common],
-                   help="peak reflectivity vs atom number"
-                   ).set_defaults(func=cmd_scan_atoms)
-    sub.add_parser("profile", parents=[common],
-                   help="intensity profile along the lattice"
-                   ).set_defaults(func=cmd_profile)
-    sub.add_parser("bands", parents=[common],
-                   help="Bloch phase and density of states"
-                   ).set_defaults(func=cmd_bands)
-    sub.add_parser("powers", parents=[common],
-                   help="detected powers P_r, P_t, P_a"
-                   ).set_defaults(func=cmd_powers)
+    for name, (compute, help_text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text
+                       ).set_defaults(func=partial(run_command, compute))
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the oracle and invariant suite")
-    p_verify.add_argument("--chains", type=int, default=500,
+    p_verify.add_argument("--chains", type=_positive_int, default=500,
                           help="randomized chains for the oracle check")
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -1,43 +1,12 @@
 """Run configuration: documented key-value schema with explicit units.
 
 Format: `[section]` headers, `key = value` lines, `#` comments, UTF-8.  Every
-value carries its unit; unknown sections or keys are rejected with the line
-number.  All defaults are filled in and echoed back so a run is reproducible
-from its output metadata alone.
+value carries its unit; unknown sections or keys, and values that do not
+parse or lie out of range, are rejected with the line number.  All defaults
+are filled in and echoed back so a run is reproducible from its output
+metadata alone.
 
-Sections and keys::
-
-    [geometry]
-    lambda_dip = 810 nm         trap wavelength
-    lambda_brg = 780 nm         probe wavelength
-    angle      = bragg          or e.g. "15.64 deg" / "0.273 rad"
-    U0         = 500 uK         trap depth; also "0.6 Gamma", "10 MHz", "... rad/s"
-    T          = 0.4*U0         or "90 uK" / "0 K"
-    w_dip      = 220 um
-    w_brg      = 800 um
-
-    [response]
-    gamma = 6 MHz               natural linewidth
-    lines = default             or "offset strength; ..." with offsets in Gamma
-
-    [model]
-    kind      = two_component   perfect | sequential | two_component
-    n         = 3e11 cm^-3      mean density
-    n_s       = 600             lattice periods
-    n_ss      = 20              sublayers per period
-    f_dw      = 0.2             ordered fraction (two_component only)
-    stark     = off             on | off (sequential only)
-    potential = harmonic        harmonic | sinusoidal
-
-    [scan]
-    grid            = -40 15 1101     detuning grid in Gamma: start stop points
-    delta_lambda    = 0 nm            lattice mismatch; list allowed for scan-lattice
-    atom_numbers    = 1e5 4e7 13      log grid for scan-atoms: start stop points
-    samples_per_gap = 64              field-profile sampling
-    profile_delta   = 0               field-profile detuning, units of Gamma
-    eta             = 0.16            probe/cloud overlap fraction for powers
-    p_i             = 30 uW           incident power for powers
-    out             = spectrum        output base name
+Sections and keys, generated from the schema table `_TABLE`::
 """
 
 from __future__ import annotations
@@ -68,111 +37,109 @@ _DENSITY = {"m^-3": 1.0, "cm^-3": 1e6}
 _POWER = {"W": 1.0, "mW": 1e-3, "uW": 1e-6, "nW": 1e-9}
 _FREQ_ANGULAR = {"rad/s": 1.0, "GHz": 2e9 * math.pi, "MHz": 2e6 * math.pi,
                  "kHz": 2e3 * math.pi, "Hz": 2.0 * math.pi}
+_ANGLE = {"deg": math.pi / 180.0, "rad": 1.0}  # math.radians' own factor
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 
+MODEL_KINDS = ("perfect", "sequential", "two_component")
 
-def _split_value(raw: str, line: int):
-    m = re.fullmatch(rf"({_NUMBER})\s*([^\s]*)", raw.strip())
+# A parser maps (raw, line, values) to a value: raw is the value as written,
+# line its line number (None for a default) and values[section, key] the
+# value of another key it depends on.
+
+
+def _finite(value, raw, line):
+    if not math.isfinite(value):
+        raise ConfigError(f"value outside the finite float range: {raw!r}", line)
+    return value
+
+
+def _number(raw, line, values=None, kind=float):
+    try:
+        value = kind(raw)
+    except ValueError:
+        what = "integer" if kind is int else "number"
+        raise ConfigError(f"expected {what}, got {raw!r}", line) from None
+    return value if kind is int else _finite(value, raw, line)
+
+
+def _split_value(raw, line):
+    m = re.fullmatch(rf"({_NUMBER})\s*([^\s]*)", raw)
     if not m:
         raise ConfigError(f"cannot parse numeric value {raw!r}", line)
     return float(m.group(1)), m.group(2)
 
 
-def _with_unit(raw: str, table: dict, what: str, line: int) -> float:
-    value, unit = _split_value(raw, line)
-    if unit not in table:
+def _check(parse, ok, message):
+    """parse, then raise `message` at the value's line unless ok(value)."""
+    def checked(raw, line, values):
+        value = parse(raw, line, values)
+        if not ok(value):
+            raise ConfigError(message, line)
+        return value
+    return checked
+
+
+def _with_unit(table, what):
+    def parse(raw, line, values):
+        value, unit = _split_value(raw, line)
+        if unit not in table:
+            raise ConfigError(
+                f"{what} needs a unit from {sorted(table)}, got {raw!r}", line)
+        return _finite(value * table[unit], raw, line)
+    return parse
+
+
+def _angular(what):
+    """Positive angular frequency in rad/s, Hz-multiples, Gamma or uK."""
+    def parse(raw, line, values):
+        value, unit = _split_value(raw, line)
+        if unit in _FREQ_ANGULAR:
+            value = value * _FREQ_ANGULAR[unit]
+        elif unit == "Gamma":
+            if what == "gamma":
+                raise ConfigError("Gamma units not available here", line)
+            value = value * values["response", "gamma"]
+        elif unit in _TEMPERATURE:
+            value = value * _TEMPERATURE[unit] * k_B / hbar
+        else:
+            raise ConfigError(f"{what} needs rad/s, Hz-multiples, Gamma or a "
+                              f"temperature unit, got {raw!r}", line)
+        return _finite(value, raw, line)
+    return _check(parse, lambda v: v > 0.0, f"{what} must be positive")
+
+
+def _temperature(raw, line, values):
+    """A temperature, or a multiple of U0 written 'x*U0'."""
+    m = re.fullmatch(rf"({_NUMBER})\s*\*\s*U0", raw)
+    if not m:
+        return _absolute_temperature(raw, line, values)
+    value = float(m.group(1)) * hbar * values["geometry", "U0"] / k_B
+    return _finite(value, raw, line)
+
+
+def _probe_wavelength(raw, line, values):
+    value = _length(raw, line, values)
+    lambda_dip = values["geometry", "lambda_dip"]
+    if value > lambda_dip:
         raise ConfigError(
-            f"{what} needs a unit from {sorted(table)}, got {raw!r}", line)
-    return value * table[unit]
+            f"need 0 < lambda_brg <= lambda_dip, got lambda_brg={value!r} "
+            f"lambda_dip={lambda_dip!r}",
+            values.raw(("geometry", "lambda_dip"))[1] if line is None else line)
+    return value
 
 
-def _parse_length(raw, line):
-    return _with_unit(raw, _LENGTH, "length", line)
+def _angle(raw, line, values):
+    """'bragg' (the angle that matches the lattice) or an angle unit."""
+    if raw.lower() == "bragg":
+        return bragg_angle(values["geometry", "lambda_brg"],
+                           values["geometry", "lambda_dip"])
+    return _explicit_angle(raw, line, values)
 
 
-def _parse_density(raw, line):
-    return _with_unit(raw, _DENSITY, "density", line)
-
-
-def _parse_power(raw, line):
-    return _with_unit(raw, _POWER, "power", line)
-
-
-def _parse_angular(raw, line, gamma=None, what="frequency"):
-    """Angular frequency; accepts rad/s, Hz-multiples, Gamma multiples, uK."""
-    value, unit = _split_value(raw, line)
-    if unit in _FREQ_ANGULAR:
-        return value * _FREQ_ANGULAR[unit]
-    if unit == "Gamma":
-        if gamma is None:
-            raise ConfigError("Gamma units not available here", line)
-        return value * gamma
-    if unit in _TEMPERATURE:
-        return value * _TEMPERATURE[unit] * k_B / hbar
-    raise ConfigError(f"{what} needs rad/s, Hz-multiples, Gamma or a "
-                      f"temperature unit, got {raw!r}", line)
-
-
-def _parse_temperature(raw, line, u0=None):
-    m = re.fullmatch(rf"({_NUMBER})\s*\*\s*U0", raw.strip())
-    if m:
-        if u0 is None:
-            raise ConfigError("'*U0' temperature needs U0 resolved first", line)
-        return float(m.group(1)) * hbar * u0 / k_B
-    value, unit = _split_value(raw, line)
-    if unit not in _TEMPERATURE:
-        raise ConfigError(f"temperature needs {sorted(_TEMPERATURE)} or "
-                          f"'x*U0', got {raw!r}", line)
-    return value * _TEMPERATURE[unit]
-
-
-def _parse_int(raw, line):
-    try:
-        return int(raw.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected integer, got {raw!r}", line) from exc
-
-
-def _parse_float(raw, line):
-    try:
-        return float(raw.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected number, got {raw!r}", line) from exc
-
-
-def _parse_switch(raw, line):
-    lowered = raw.strip().lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"expected on/off, got {raw!r}", line)
-
-
-def _parse_triple(raw, line):
-    parts = raw.split()
-    if len(parts) != 3:
-        raise ConfigError(f"expected 'start stop points', got {raw!r}", line)
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad grid spec {raw!r}", line) from exc
-
-
-def _parse_length_list(raw, line):
-    parts = raw.split()
-    if len(parts) < 2 or parts[-1] not in _LENGTH:
-        raise ConfigError(f"expected 'v1 v2 ... unit', got {raw!r}", line)
-    scale = _LENGTH[parts[-1]]
-    try:
-        return [float(p) * scale for p in parts[:-1]]
-    except ValueError as exc:
-        raise ConfigError(f"bad length list {raw!r}", line) from exc
-
-
-def _parse_lines(raw, line, gamma):
-    if raw.strip().lower() == "default":
+def _lines(raw, line, values):
+    gamma = values["response", "gamma"]
+    if raw.lower() == "default":
         return rb85_d2_f3_lines(gamma)
     entries = []
     for chunk in raw.split(";"):
@@ -180,52 +147,157 @@ def _parse_lines(raw, line, gamma):
         if len(parts) != 2:
             raise ConfigError(
                 f"line entries are 'offset strength' pairs, got {chunk!r}", line)
-        try:
-            entries.append(SpectralLine(float(parts[0]) * gamma, float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"bad line entry {chunk!r}", line) from exc
-    total = sum(e.strength for e in entries)
+        offset, strength = (_number(p, line) for p in parts)
+        if strength < 0.0:
+            raise ConfigError(f"bad line entry {chunk!r}", line)
+        entries.append((_finite(offset * gamma, chunk, line), strength))
+    total = _finite(sum(strength for _, strength in entries), raw, line)
     if total <= 0.0:
         raise ConfigError("line strengths must be positive", line)
-    return tuple(SpectralLine(e.delta_f, e.strength / total) for e in entries)
+    return tuple(SpectralLine(delta_f, strength / total)
+                 for delta_f, strength in entries)
 
 
-_SCHEMA = {
-    "geometry": {
-        "lambda_dip": "810 nm",
-        "lambda_brg": "780 nm",
-        "angle": "bragg",
-        "U0": "500 uK",
-        "T": "0.4*U0",
-        "w_dip": "220 um",
-        "w_brg": "800 um",
-    },
-    "response": {
-        "gamma": "6 MHz",
-        "lines": "default",
-    },
-    "model": {
-        "kind": "two_component",
-        "n": "3e11 cm^-3",
-        "n_s": "600",
-        "n_ss": "20",
-        "f_dw": "0.2",
-        "stark": "off",
-        "potential": "harmonic",
-    },
-    "scan": {
-        "grid": "-40 15 1101",
-        "delta_lambda": "0 nm",
-        "atom_numbers": "1e5 4e7 13",
-        "samples_per_gap": "64",
-        "profile_delta": "0",
-        "eta": "0.16",
-        "p_i": "30 uW",
-        "out": "spectrum",
-    },
+def _choice(options, what):
+    def parse(raw, line, values):
+        if raw not in options:
+            raise ConfigError(f"{what} must be one of {options}", line)
+        return raw
+    return parse
+
+
+def _at_least(minimum, key):
+    return _check(lambda raw, line, values: _number(raw, line, kind=int),
+                  lambda v: v >= minimum, f"{key} must be >= {minimum}")
+
+
+def _fraction(key):
+    return _check(_number, lambda v: 0.0 <= v <= 1.0, f"{key} must lie in [0, 1]")
+
+
+def _switch(raw, line, values):
+    lowered = raw.lower()
+    if lowered in ("on", "true", "yes", "1"):
+        return True
+    if lowered in ("off", "false", "no", "0"):
+        return False
+    raise ConfigError(f"expected on/off, got {raw!r}", line)
+
+
+def _triple(raw, line, values):
+    parts = raw.split()
+    if len(parts) != 3:
+        raise ConfigError(f"expected 'start stop points', got {raw!r}", line)
+    return (_number(parts[0], line), _number(parts[1], line),
+            _number(parts[2], line, kind=int))
+
+
+def _length_list(raw, line, values):
+    parts = raw.split()
+    if len(parts) < 2 or parts[-1] not in _LENGTH:
+        raise ConfigError(f"expected 'v1 v2 ... unit', got {raw!r}", line)
+    scale = _LENGTH[parts[-1]]
+    return tuple(_finite(_number(p, line) * scale, raw, line)
+                 for p in parts[:-1])
+
+
+_length = _check(_with_unit(_LENGTH, "length"), lambda v: v > 0.0,
+                 "length must be positive")
+_density = _check(_with_unit(_DENSITY, "density"), lambda v: v >= 0.0,
+                  "density must be non-negative")
+_power = _check(_with_unit(_POWER, "power"), lambda v: v >= 0.0,
+                "power must be non-negative")
+_absolute_temperature = _with_unit(_TEMPERATURE, "temperature (or 'x*U0')")
+_explicit_angle = _check(_with_unit(_ANGLE, "angle (or 'bragg')"),
+                         lambda v: 0.0 <= v < math.pi / 2.0,
+                         "angle must lie in [0, 90) deg")
+
+
+def _echo_angle(raw, beta_i, values):
+    if raw.lower() == "bragg":
+        return f"bragg ({math.degrees(beta_i):.6f} deg)"
+    return raw
+
+
+def _echo_lines(raw, lines, values):
+    gamma = values["response", "gamma"]
+    return "; ".join(f"{line.delta_f / gamma:g} {line.strength:.6g}"
+                     for line in lines)
+
+
+# Sections and their keys in file order; a section's values, in key order,
+# are the fields of its settings object (the grid and atom_numbers triples
+# fill three fields each).  `echo` maps (raw, value, values) to the text
+# recorded in the output metadata; None records raw as written.
+_TABLE = {
+    "geometry": (
+        # key, default, parse, echo, doc
+        ("lambda_dip", "810 nm", _length, None, "trap wavelength"),
+        ("lambda_brg", "780 nm", _probe_wavelength, None, "probe wavelength"),
+        ("angle", "bragg", _angle, _echo_angle, 'or e.g. "15.64 deg" / "0.273 rad"'),
+        ("U0", "500 uK", _angular("U0"), None,
+         'trap depth; also "0.6 Gamma", "10 MHz", "... rad/s"'),
+        ("T", "0.4*U0",
+         _check(_temperature, lambda t: t >= 0.0, "T must be non-negative"),
+         lambda raw, t, _: f"{raw} ({t * 1e6:.6g} uK)", 'or "90 uK" / "0 K"'),
+        ("w_dip", "220 um", _length, None, "trap waist"),
+        ("w_brg", "800 um", _length, None, "probe waist"),
+    ),
+    "response": (
+        ("gamma", "6 MHz", _angular("gamma"), None, "natural linewidth"),
+        ("lines", "default", _lines, _echo_lines,
+         'or "offset strength; ..." with offsets in Gamma'),
+    ),
+    "model": (
+        ("kind", "two_component", _choice(MODEL_KINDS, "model kind"), None,
+         " | ".join(MODEL_KINDS)),
+        ("n", "3e11 cm^-3", _density, None, "mean density"),
+        ("n_s", "600", _at_least(1, "n_s"), None, "lattice periods"),
+        ("n_ss", "20", _at_least(1, "n_ss"), None, "sublayers per period"),
+        ("f_dw", "0.2", _fraction("f_dw"), None,
+         "ordered fraction (two_component only)"),
+        ("stark", "off", _switch, lambda raw, on, _: "on" if on else "off",
+         "on | off (sequential only)"),
+        ("potential", "harmonic", _choice(POTENTIAL_FORMS, "potential"), None,
+         " | ".join(POTENTIAL_FORMS)),
+    ),
+    "scan": (
+        ("grid", "-40 15 1101",
+         _check(_triple, lambda g: g[0] < g[1] and g[2] >= 2,
+                "grid needs start < stop and at least 2 points"),
+         None, "detuning grid in Gamma: start stop points"),
+        ("delta_lambda", "0 nm", _length_list, None,
+         "lattice mismatch; list allowed for scan-lattice"),
+        ("atom_numbers", "1e5 4e7 13",
+         _check(_triple, lambda a: 0 < a[0] < a[1] and a[2] >= 2,
+                "atom_numbers needs 0 < start < stop, points >= 2"),
+         None, "log grid for scan-atoms: start stop points"),
+        ("samples_per_gap", "64", _at_least(2, "samples_per_gap"), None,
+         "field-profile sampling"),
+        ("profile_delta", "0", _number, None,
+         "field-profile detuning, units of Gamma"),
+        ("eta", "0.16", _fraction("eta"), None,
+         "probe/cloud overlap fraction for powers"),
+        ("p_i", "30 uW", _power, None, "incident power for powers"),
+        ("out", "spectrum", lambda raw, line, values: raw, None, "output base name"),
+    ),
 }
+_ROWS = {(section, row[0]): row for section, rows in _TABLE.items()
+         for row in rows}
 
-MODEL_KINDS = ("perfect", "sequential", "two_component")
+
+def _schema_doc() -> str:
+    blocks = []
+    for section, rows in _TABLE.items():
+        width = max(len(key) for key, *_ in rows)
+        blocks.append(f"\n    [{section}]\n" + "".join(
+            f"    {key:<{width}} = {default:<16} {doc}\n"
+            for key, default, _, _, doc in rows))
+    return "".join(blocks)
+
+
+if __doc__:  # None under python -OO
+    __doc__ += _schema_doc()
 
 
 @dataclass(frozen=True)
@@ -294,7 +366,7 @@ def _read_entries(text: str) -> dict:
             if not stripped.endswith("]"):
                 raise ConfigError(f"malformed section header {raw!r}", lineno)
             section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _TABLE:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in stripped:
@@ -302,7 +374,7 @@ def _read_entries(text: str) -> dict:
         if section is None:
             raise ConfigError("key outside of any [section]", lineno)
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _ROWS:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
         if (section, key) in entries:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno)
@@ -312,148 +384,45 @@ def _read_entries(text: str) -> dict:
     return entries
 
 
+class _Values(dict):
+    """(section, key) -> value, each parsed on first lookup together with
+    the keys it reads (U0 in Gamma reads gamma, T = x*U0 reads U0, ...)."""
+
+    def __init__(self, entries: dict):
+        super().__init__()
+        self.entries = entries
+
+    def raw(self, item):
+        """(value as written, line), or (default, None) if not given."""
+        return self.entries.get(item, (_ROWS[item][1], None))
+
+    def __missing__(self, item):
+        self[item] = value = _ROWS[item][2](*self.raw(item), self)
+        return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a run configuration, filling in every default."""
-    entries = _read_entries(text)
-
-    def get(section, key):
-        default = _SCHEMA[section][key]
-        return entries.get((section, key), (default, None))
-
-    echo = {}
-
-    def note(section, key, value_str):
-        echo[f"{section}.{key}"] = value_str
-
-    raw, ln = get("response", "gamma")
-    gamma = _parse_angular(raw, ln, what="gamma")
-    note("response", "gamma", raw)
-
-    raw, ln = get("geometry", "lambda_dip")
-    lambda_dip = _parse_length(raw, ln)
-    note("geometry", "lambda_dip", raw)
-    raw, ln = get("geometry", "lambda_brg")
-    lambda_brg = _parse_length(raw, ln)
-    note("geometry", "lambda_brg", raw)
-
-    raw, ln = get("geometry", "angle")
-    if raw.strip().lower() == "bragg":
-        try:
-            beta_i = bragg_angle(lambda_brg, lambda_dip)
-        except ValueError as exc:
-            raise ConfigError(str(exc), ln) from exc
-        note("geometry", "angle", f"bragg ({math.degrees(beta_i):.6f} deg)")
-    else:
-        value, unit = _split_value(raw, ln)
-        if unit == "deg":
-            beta_i = math.radians(value)
-        elif unit == "rad":
-            beta_i = value
-        else:
-            raise ConfigError(f"angle needs deg/rad or 'bragg', got {raw!r}", ln)
-        note("geometry", "angle", raw)
-
-    raw, ln = get("geometry", "U0")
-    u0 = _parse_angular(raw, ln, gamma=gamma, what="U0")
-    note("geometry", "U0", raw)
-    raw, ln = get("geometry", "T")
-    temperature = _parse_temperature(raw, ln, u0=u0)
-    note("geometry", "T", f"{raw} ({temperature * 1e6:.6g} uK)")
-    raw, ln = get("geometry", "w_dip")
-    w_dip = _parse_length(raw, ln)
-    note("geometry", "w_dip", raw)
-    raw, ln = get("geometry", "w_brg")
-    w_brg = _parse_length(raw, ln)
-    note("geometry", "w_brg", raw)
-
-    try:
-        geometry = LatticeGeometry(lambda_dip, lambda_brg, beta_i, u0,
-                                   temperature, w_dip, w_brg)
-    except ValueError as exc:
-        raise ConfigError(f"invalid geometry: {exc}") from exc
-
-    raw, ln = get("response", "lines")
-    lines = _parse_lines(raw, ln, gamma)
-    note("response", "lines", "; ".join(
-        f"{line.delta_f / gamma:g} {line.strength:.6g}" for line in lines))
-    response = AtomResponseConfig(gamma, lines, lambda_brg)
-
-    raw, ln = get("model", "kind")
-    kind = raw.strip()
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model kind must be one of {MODEL_KINDS}", ln)
-    note("model", "kind", kind)
-    raw, ln = get("model", "n")
-    density = _parse_density(raw, ln)
-    note("model", "n", raw)
-    raw, ln = get("model", "n_s")
-    n_s = _parse_int(raw, ln)
-    note("model", "n_s", raw)
-    raw, ln = get("model", "n_ss")
-    n_ss = _parse_int(raw, ln)
-    note("model", "n_ss", raw)
-    raw, ln = get("model", "f_dw")
-    f_dw = _parse_float(raw, ln)
-    if not 0.0 <= f_dw <= 1.0:
-        raise ConfigError("f_dw must lie in [0, 1]", ln)
-    note("model", "f_dw", raw)
-    raw, ln = get("model", "stark")
-    stark = _parse_switch(raw, ln)
-    note("model", "stark", "on" if stark else "off")
-    raw, ln = get("model", "potential")
-    potential = raw.strip()
-    if potential not in POTENTIAL_FORMS:
-        raise ConfigError(f"potential must be one of {POTENTIAL_FORMS}", ln)
-    note("model", "potential", potential)
-    if n_s < 1 or n_ss < 1:
-        raise ConfigError("n_s and n_ss must be >= 1")
-    model = ModelSettings(kind, density, n_s, n_ss, f_dw, stark, potential)
-
-    raw, ln = get("scan", "grid")
-    g_start, g_stop, g_points = _parse_triple(raw, ln)
-    if g_points < 2 or g_stop <= g_start:
-        raise ConfigError("grid needs start < stop and at least 2 points", ln)
-    note("scan", "grid", raw)
-    raw, ln = get("scan", "delta_lambda")
-    delta_lambdas = tuple(_parse_length_list(raw, ln))
-    note("scan", "delta_lambda", raw)
-    raw, ln = get("scan", "atom_numbers")
-    a_start, a_stop, a_points = _parse_triple(raw, ln)
-    if a_start <= 0 or a_stop <= a_start or a_points < 2:
-        raise ConfigError("atom_numbers needs 0 < start < stop, points >= 2", ln)
-    note("scan", "atom_numbers", raw)
-    raw, ln = get("scan", "samples_per_gap")
-    samples = _parse_int(raw, ln)
-    if samples < 2:
-        raise ConfigError("samples_per_gap must be >= 2", ln)
-    note("scan", "samples_per_gap", raw)
-    raw, ln = get("scan", "profile_delta")
-    profile_delta = _parse_float(raw, ln)
-    note("scan", "profile_delta", raw)
-    raw, ln = get("scan", "eta")
-    eta = _parse_float(raw, ln)
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError("eta must lie in [0, 1]", ln)
-    note("scan", "eta", raw)
-    raw, ln = get("scan", "p_i")
-    p_i = _parse_power(raw, ln)
-    note("scan", "p_i", raw)
-    raw, ln = get("scan", "out")
-    out = raw.strip()
-    note("scan", "out", out)
-
-    scan = ScanSettings(g_start, g_stop, g_points, delta_lambdas,
-                        a_start, a_stop, a_points, samples, profile_delta,
-                        eta, p_i, out)
-    return RunConfig(geometry, response, model, scan, echo)
+    values = _Values(_read_entries(text))
+    echo, fields = {}, {}
+    for section, rows in _TABLE.items():
+        fields[section] = []
+        for key, _, _, show, _ in rows:
+            value, raw = values[section, key], values.raw((section, key))[0]
+            echo[f"{section}.{key}"] = raw if show is None else show(raw, value, values)
+            fields[section].append(value)
+    geometry = LatticeGeometry(*fields["geometry"])
+    response = AtomResponseConfig(*fields["response"], geometry.lambda_brg)
+    grid, delta_lambdas, atoms, *rest = fields["scan"]
+    scan = ScanSettings(*grid, delta_lambdas, *atoms, *rest)
+    return RunConfig(geometry, response, ModelSettings(*fields["model"]), scan, echo)
 
 
 def default_config_text() -> str:
-    """A fully commented configuration with every default spelled out."""
+    """A configuration file that spells out every key at its default."""
     blocks = []
-    for section, keys in _SCHEMA.items():
+    for section, rows in _TABLE.items():
         blocks.append(f"[{section}]")
-        for key, default in keys.items():
-            blocks.append(f"{key} = {default}")
+        blocks.extend(f"{key} = {default}" for key, default, *_ in rows)
         blocks.append("")
     return "\n".join(blocks)

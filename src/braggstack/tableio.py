@@ -100,15 +100,15 @@ def read_csv(path):
     return columns, metadata
 
 
+def spectrum_columns(table: SpectrumTable) -> dict:
+    """The canonical delta_over_gamma,R,T,A,phi_rad columns of a table."""
+    return dict(zip(SPECTRUM_COLUMNS, (table.delta_over_gamma, table.R,
+                                       table.T, table.A, table.phi)))
+
+
 def write_spectrum_csv(table: SpectrumTable, path) -> None:
     """Emit the canonical delta_over_gamma,R,T,A,phi_rad table."""
-    write_csv(path, {
-        "delta_over_gamma": table.delta_over_gamma,
-        "R": table.R,
-        "T": table.T,
-        "A": table.A,
-        "phi_rad": table.phi,
-    }, table.metadata)
+    write_csv(path, spectrum_columns(table), table.metadata)
 
 
 def read_spectrum_csv(path) -> SpectrumTable:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SlabChain, chain_matrix, det2, gap_matrix, identity_matrix, \
+from .engine import SlabChain, chain_matrix, gap_matrix, identity_matrix, \
     layer_matrix, matmul2, scatter
 from .experiments import solve_boundary_value
 from .geometry import bragg_matched_geometry
@@ -75,13 +75,12 @@ def check_single_slab_closed_form(tol=1e-12):
                        f"worst error {worst:.3e} (tol {tol:.0e})")
 
 
-def check_unimodularity(n_slabs=10_000, tol=1e-9, seed=DEFAULT_SEED):
-    """det = 1 for the transfer matrix of a long random chain.
+def check_long_chain(n_slabs=10_000, tol=1e-10, seed=DEFAULT_SEED):
+    """A random 10^4-slab chain at one detuning, computed three ways.
 
-    det M = t'/t, so this checks that the amplitudes stay reciprocal along
-    10^4 slabs and convert back to a unimodular matrix.  The detuning is
-    taken as a scalar (pairwise star tree) and as a one-point grid
-    (slab-by-slab scan); the worst of both is reported.
+    The scalar detuning takes the pairwise star tree and the one-point grid
+    the slab-by-slab scan; both must match the boundary-value oracle, and
+    the mirrored chain must give the same T.
     """
     rng = np.random.default_rng(seed + 1)
     geom = bragg_matched_geometry()
@@ -89,10 +88,19 @@ def check_unimodularity(n_slabs=10_000, tol=1e-9, seed=DEFAULT_SEED):
     chain = SlabChain(rng.uniform(0.0, 2e9, n_slabs),
                       rng.uniform(-2.0, 2.0, n_slabs) * cfg.gamma,
                       rng.uniform(0.0, 1.0e-6, n_slabs))
-    err = max(float(np.max(np.abs(det2(chain_matrix(chain, d, cfg, geom)) - 1.0)))
-              for d in (0.7 * cfg.gamma, np.array([0.7 * cfg.gamma])))
-    return CheckResult("unimodularity-10k", err <= tol,
-                       f"|det - 1| = {err:.3e} on {n_slabs} slabs (tol {tol:.0e})")
+    delta = 0.7 * cfg.gamma
+    tree = scatter(chain_matrix(chain, delta, cfg, geom))
+    scan = scatter(chain_matrix(chain, np.array([delta]), cfg, geom))
+    r_o, t_o = solve_boundary_value(chain, delta, cfg, geom)
+    t_mirror = scatter(chain_matrix(chain.mirrored(), delta, cfg, geom)).big_t
+    d_scan = max(abs(tree.r - scan.r[0]), abs(tree.t - scan.t[0]))
+    d_oracle = max(abs(tree.r - r_o), abs(tree.t - t_o),
+                   abs(scan.r[0] - r_o), abs(scan.t[0] - t_o))
+    d_mirror = abs(t_mirror - tree.big_t)
+    return CheckResult("long-chain-10k", max(d_scan, d_oracle, d_mirror) <= tol,
+                       f"|tree - scan| = {d_scan:.3e}, |amp - oracle| = "
+                       f"{d_oracle:.3e}, |T - T_mirror| = {d_mirror:.3e} on "
+                       f"{n_slabs} slabs (tol {tol:.0e})")
 
 
 def check_lossless_sum(tol=1e-12, seed=DEFAULT_SEED):
@@ -175,7 +183,7 @@ def check_power_path(tol=1e-10):
 
 ALL_CHECKS = (
     check_single_slab_closed_form,
-    check_unimodularity,
+    check_long_chain,
     check_lossless_sum,
     check_reciprocity,
     check_passivity,

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from braggstack import verify
 from braggstack.cli import main
 from braggstack.tableio import read_csv, read_spectrum_csv
 
@@ -108,6 +109,31 @@ def test_verify_command_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 8
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("chains", ["-3", "0", "many"])
+def test_verify_rejects_non_positive_chains(chains, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--chains", chains])
+    assert exit_.value.code == 2
+    assert "--chains" in capsys.readouterr().err
+
+
+def test_long_chain_check_compares_tree_scan_oracle_and_mirror(monkeypatch):
+    res = verify.check_long_chain(n_slabs=2000)
+    assert res.passed
+    assert "tree - scan" in res.detail and "oracle" in res.detail \
+        and "T_mirror" in res.detail
+    # a grid path that scatters the wrong chain (here the mirrored one, same
+    # T, other r) fails the check
+    chain_matrix = verify.chain_matrix
+
+    def broken(chain, delta, *args):
+        return chain_matrix(chain.mirrored() if np.ndim(delta) else chain, delta,
+                            *args)
+
+    monkeypatch.setattr(verify, "chain_matrix", broken)
+    assert not verify.check_long_chain(n_slabs=2000).passed
 
 
 def test_config_error_reported(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import math
+import re
 
 import pytest
 from scipy.constants import hbar, k as k_B
 
 import braggstack as bs
+from braggstack import config
+from braggstack.cli import main
 from braggstack.config import ConfigError, default_config_text, parse_config
 
 
@@ -121,3 +124,126 @@ def test_model_chain_builders():
 def test_comments_and_blank_lines_ignored():
     text = "# top comment\n\n[model]\n# mid comment\nn_s = 5  # trailing\n"
     assert parse_config(text).model.n_s == 5
+
+
+DEFAULT_TEXT = (
+    "[geometry]\nlambda_dip = 810 nm\nlambda_brg = 780 nm\nangle = bragg\n"
+    "U0 = 500 uK\nT = 0.4*U0\nw_dip = 220 um\nw_brg = 800 um\n\n"
+    "[response]\ngamma = 6 MHz\nlines = default\n\n"
+    "[model]\nkind = two_component\nn = 3e11 cm^-3\nn_s = 600\nn_ss = 20\n"
+    "f_dw = 0.2\nstark = off\npotential = harmonic\n\n"
+    "[scan]\ngrid = -40 15 1101\ndelta_lambda = 0 nm\natom_numbers = 1e5 4e7 13\n"
+    "samples_per_gap = 64\nprofile_delta = 0\neta = 0.16\np_i = 30 uW\n"
+    "out = spectrum\n")
+
+DEFAULT_ECHO = {
+    "geometry.lambda_dip": "810 nm",
+    "geometry.lambda_brg": "780 nm",
+    "geometry.angle": "bragg (15.642471 deg)",
+    "geometry.U0": "500 uK",
+    "geometry.T": "0.4*U0 (200 uK)",
+    "geometry.w_dip": "220 um",
+    "geometry.w_brg": "800 um",
+    "response.gamma": "6 MHz",
+    "response.lines": "-31 0.0793651; -20 0.277778; 0 0.642857",
+    "model.kind": "two_component",
+    "model.n": "3e11 cm^-3",
+    "model.n_s": "600",
+    "model.n_ss": "20",
+    "model.f_dw": "0.2",
+    "model.stark": "off",
+    "model.potential": "harmonic",
+    "scan.grid": "-40 15 1101",
+    "scan.delta_lambda": "0 nm",
+    "scan.atom_numbers": "1e5 4e7 13",
+    "scan.samples_per_gap": "64",
+    "scan.profile_delta": "0",
+    "scan.eta": "0.16",
+    "scan.p_i": "30 uW",
+    "scan.out": "spectrum",
+}
+
+
+def test_default_config_text_is_pinned():
+    assert default_config_text() == DEFAULT_TEXT
+
+
+def test_default_echo_is_pinned():
+    assert parse_config("").echo == DEFAULT_ECHO
+
+
+def test_module_docstring_lists_every_key_with_its_default():
+    doc = config.__doc__
+    for line in DEFAULT_TEXT.splitlines():
+        if line.startswith("["):
+            assert f"    {line}\n" in doc
+        elif line:
+            key, default = line.split(" = ")
+            assert re.search(rf"\n    {key} += {re.escape(default)} ", doc), line
+
+
+def test_echo_transforms_are_pinned():
+    # explicit angle, absolute T, U0 in Gamma, custom lines, 'yes' switch and
+    # text values with stray spaces
+    text = ("[geometry]\nangle = 20 deg\nU0 = 0.6 Gamma\nT = 90 uK\n"
+            "[response]\ngamma = 6.07 MHz\nlines = 0 3; -11.7 1; -29 0.5\n"
+            "[model]\nkind =  sequential  \nstark = yes\npotential =   sinusoidal\n"
+            "[scan]\nout =   run 7  \n")
+    assert parse_config(text).echo == dict(
+        DEFAULT_ECHO, **{
+            "geometry.angle": "20 deg",
+            "geometry.U0": "0.6 Gamma",
+            "geometry.T": "90 uK (90 uK)",
+            "response.gamma": "6.07 MHz",
+            "response.lines": "0 0.666667; -11.7 0.222222; -29 0.111111",
+            "model.kind": "sequential",
+            "model.stark": "on",
+            "model.potential": "sinusoidal",
+            "scan.out": "run 7"})
+    # Bragg angle of a mismatched lattice, T as a fraction of a depth in Gamma
+    text = "[geometry]\nlambda_dip = 812 nm\nangle = bragg\nU0 = 0.6 Gamma\nT = 0.4*U0\n"
+    assert parse_config(text).echo == dict(
+        DEFAULT_ECHO, **{
+            "geometry.lambda_dip": "812 nm",
+            "geometry.angle": "bragg (16.138801 deg)",
+            "geometry.U0": "0.6 Gamma",
+            "geometry.T": "0.4*U0 (69.1091 uK)"})
+
+
+INVALID_VALUES = [
+    ("[response]\ngamma = 0 MHz\n", 2),
+    ("[response]\ngamma = -6 MHz\n", 2),
+    ("[model]\nn = -3e11 cm^-3\n", 2),
+    ("[model]\nn = 1e308 cm^-3\n", 2),
+    ("[response]\nlines = 0 inf\n", 2),
+    ("[response]\nlines = 1e308 1\n", 2),
+    ("[response]\nlines = 0 1e308; 1 1e308\n", 2),
+    ("[scan]\ngrid = -40 nan 101\n", 2),
+    ("[scan]\ngrid = -inf 15 101\n", 2),
+    ("[scan]\nprofile_delta = nan\n", 2),
+    ("[scan]\nprofile_delta = inf\n", 2),
+    ("[scan]\ndelta_lambda = 0 inf nm\n", 2),
+    ("[scan]\natom_numbers = 1e5 inf 13\n", 2),
+    ("[geometry]\nlambda_dip = 1e400 nm\n", 2),
+    ("[geometry]\nw_dip = -3 um\n", 2),
+    ("[geometry]\nU0 = -5 uK\n", 2),
+    ("[geometry]\nT = -1 uK\n", 2),
+    ("[geometry]\nangle = 95 deg\n", 2),
+    ("[geometry]\nangle = 20 deg\nlambda_brg = 900 nm\n", 3),
+    ("# lambda_brg keeps its default\n[geometry]\nlambda_dip = 700 nm\n", 3),
+    ("[model]\nn_s = 0\n", 2),
+    ("[model]\n\nn_ss = 0\n", 3),
+    ("[scan]\np_i = -1 uW\n", 2),
+]
+
+
+@pytest.mark.parametrize("text, line", INVALID_VALUES,
+                         ids=[text.splitlines()[-1] for text, _ in INVALID_VALUES])
+def test_invalid_value_names_its_line(text, line, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
