@@ -1,4 +1,4 @@
-"""braggstack: transfer-matrix optics of 1D cold-atom lattices.
+"""braggstack: scattering-matrix optics of 1D cold-atom lattices.
 
 Computes Bragg reflection, transmission and absorption spectra of a stack of
 atomic layers trapped in a standing wave, including thermal disorder,
@@ -38,7 +38,6 @@ from .engine import (
     TransferMatrix,
     ScatterResult,
     EngineError,
-    OverflowGuardError,
     SingularMatrixError,
     layer_matrix,
     gap_matrix,

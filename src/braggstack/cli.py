@@ -116,7 +116,12 @@ def run_command(compute, args) -> int:
     if args.config is None:
         text = default_config_text()
     else:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}",
+                              exc.object[:exc.start].count(b"\n") + 1) from None
     run = parse_config(text)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,11 +12,13 @@ iz = i*zeta_j and g = g_j:
     w = 1/(1 - iz*U);  r += iz*t^2*w;  t = g*t*w;  U = 1 + g^2*(U*w - 1).
 
 A single detuning takes a pairwise star tree, in log2 numpy calls, and
-periodic chains take star powers of the cell.  The public functions take
-and return 2x2 transfer matrices on (E+, E-) amplitude pairs, shape
-(..., 2, 2) with grid axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t,
-M11 = t' - r*r'/t.  A point layer is [[1 + i*zeta, i*zeta], [-i*zeta,
-1 - i*zeta]] and a gap the diagonal phase exp(+-i k_z dz), so det M = 1.
+periodic chains take star powers of the cell.  Field profiles take inclusive
+star scans by doubling from both ends (Hillis-Steele; Blelloch, "Prefix sums
+and their applications", 1990).  The public functions take and return 2x2
+transfer matrices on (E+, E-) amplitude pairs, shape (..., 2, 2) with grid
+axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A point
+layer is [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the
+diagonal phase exp(+-i k_z dz), so det M = 1.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeGeometry
-from .response import AtomResponseConfig, line_response, zeta, zeta_prefactor
+from .response import AtomResponseConfig, line_response, zeta_prefactor
 
 TransferMatrix = np.ndarray  # (..., 2, 2) complex
 
-# Bound on the field amplitudes of field_profile's recurrence.
-OVERFLOW_LIMIT = 1e12
 # Grid elements of zeta per block of slabs in a grid scan: the (slab, grid)
 # array of a whole chain is never built.
 ZETA_BLOCK = 1 << 16
@@ -44,10 +44,6 @@ PROFILE_BLOCK = 1 << 14
 
 class EngineError(RuntimeError):
     pass
-
-
-class OverflowGuardError(EngineError):
-    """field_profile's amplitude recurrence passed OVERFLOW_LIMIT."""
 
 
 class SingularMatrixError(EngineError):
@@ -256,18 +252,33 @@ def _scan(chain, delta, cfg, g):
     return r, t, u - 1.0, t  # U = 1 + r'
 
 
+def _slabs(chain, delta, cfg, g):
+    """Closed-form (r, t, r', t') of every slab at one detuning, (4, slabs)."""
+    iz = 1j * np.concatenate(list(_zeta_blocks(chain, delta, cfg)))
+    q = 1.0 / (1.0 - iz)
+    return np.stack((iz * q, g * q, iz * (g * g) * q, g * q))
+
+
 def _tree(chain, delta, cfg, g):
     """(r, t, r', t') of the chain at one detuning: the closed-form slab
     amplitudes reduced pairwise by star products, left factor first."""
-    iz = 1j * np.concatenate(list(_zeta_blocks(chain, delta, cfg)))
-    q = 1.0 / (1.0 - iz)
-    s = np.stack((iz * q, g * q, iz * (g * g) * q, g * q))
+    s = _slabs(chain, delta, cfg, g)
     while s.shape[1] > 1:
         even = s.shape[1] - s.shape[1] % 2
         pairs = _star(s[:, 0:even:2], s[:, 1:even:2])
         s = pairs if even == s.shape[1] else \
             np.concatenate([pairs, s[:, even:]], axis=1)
     return s[:, 0]
+
+
+def _prefixes(s):
+    """In-place inclusive star scan of (4, slabs) amplitudes by doubling:
+    column j becomes the star product of columns 0..j, in log2(slabs) calls."""
+    k = 1
+    while k < s.shape[1]:
+        s[:, k:] = _star(s[:, :-k], s[:, k:])
+        k *= 2
+    return s
 
 
 def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
@@ -332,14 +343,6 @@ def scatter(m: TransferMatrix):
     return ScatterResult(r, t, big_r, big_t, big_a, phi)
 
 
-def _check_overflow(amplitudes):
-    """OverflowGuardError at the first slab (column) of (2, slabs) field
-    amplitudes with a non-finite modulus or one above OVERFLOW_LIMIT."""
-    bad = ~np.all(np.abs(amplitudes) <= OVERFLOW_LIMIT, axis=0)
-    if bad.any():
-        raise OverflowGuardError(f"field amplitudes diverged at slab {np.argmax(bad)}")
-
-
 def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
                   cfg: AtomResponseConfig, geom: LatticeGeometry):
     """Standing-wave intensity |E+ e^{i k_z z} + E- e^{-i k_z z}|^2 along z.
@@ -350,40 +353,35 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
     equals |t|^2.  Returns (z, intensity) arrays with `samples_per_gap`
     points per gap.
 
-    The amplitudes are carried across the chain slab by slab (they grow like
-    1/|t| in a stop band: past OVERFLOW_LIMIT, OverflowGuardError); the
-    samples inside the gaps are then filled in vectorized blocks of slabs.
+    At the end of gap j, with L the slabs 0..j and R the slabs after j, the
+    field is E+ = t_L / (1 - r'_L r_R) and E- = r_R E+.  Star scans of the
+    slabs and of the mirrored slabs give every L and R, and every factor
+    stays bounded however opaque the chain.  The samples inside the gaps are
+    then filled in vectorized blocks of slabs.
     """
     if samples_per_gap < 2:
         raise ValueError("samples_per_gap must be >= 2")
+    delta = require_finite("delta_brg", float(delta_brg))
     flat = chain.repeated()
-    res = scatter(chain_matrix(flat, float(delta_brg), cfg, geom))
+    if flat.n_slabs == 0:
+        return np.zeros(1), np.ones(1)
     k_z = geom.k_brg * math.cos(geom.beta_i)
     gaps = flat.gap_after
     gapped = gaps > 0.0
 
-    # (E+, E-) entering every gap, by the scalar slab recurrence
-    e_plus = 1.0 + 0.0j
-    e_minus = res.r
-    first = abs(e_plus + e_minus) ** 2
-    entering = np.empty((2, flat.n_slabs), dtype=complex)
-    iz = 1j * np.atleast_1d(zeta(flat.surface_density,
-                                 float(delta_brg) - flat.stark_shift, cfg))
+    # E+ at the end of every gap; no slab follows the last, so its r_R is 0
     exits = np.exp(1j * k_z * gaps)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for j in range(flat.n_slabs):
-            e_plus, e_minus = ((1.0 + iz[j]) * e_plus + iz[j] * e_minus,
-                               -iz[j] * e_plus + (1.0 - iz[j]) * e_minus)
-            entering[0, j] = e_plus
-            entering[1, j] = e_minus
-            if gapped[j]:
-                e_plus = e_plus * exits[j]
-                e_minus = e_minus / exits[j]
-    _check_overflow(entering)
+    slabs = _slabs(flat, delta, cfg, exits)
+    right = _prefixes(slabs[[2, 3, 0, 1], ::-1])[[2, 3, 0, 1], ::-1]
+    left = _prefixes(slabs)
+    r_right = np.append(right[0, 1:], 0.0)
+    e_plus = left[1] / (1.0 - left[2] * r_right)
+    first = abs(1.0 + right[0, 0]) ** 2
+    del slabs, left, right  # 8 complex per slab: not kept through the samples
 
     # samples across the gaps, at most PROFILE_BLOCK of them per numpy call
     g = gaps[gapped]
-    e_in = entering[:, gapped]
+    e_in = np.stack((e_plus / exits, r_right * e_plus * exits))[:, gapped]
     starts = np.concatenate([[0.0], np.cumsum(g)[:-1]])
     fractions = np.arange(1, samples_per_gap + 1) / samples_per_gap
     z = np.empty(1 + g.size * samples_per_gap)

@@ -52,13 +52,25 @@ def test_03_engine_exactness(cfg, geom):
         worst_cf = max(worst_cf,
                        abs(res.r - 1j * z / (1 - 1j * z)),
                        abs(res.t - 1 / (1 - 1j * z)))
-    # det = 1 to 1e-9 on a 10^4-slab chain
+    # on a 10^4-slab chain: det = 1 to 1e-9, and the star tree (scalar
+    # detuning), the slab-by-slab scan (one-point grid), the boundary-value
+    # oracle and the mirrored chain's T agree to 1e-10
     rng = np.random.default_rng(17)
     n = 10_000
     chain = bs.SlabChain(rng.uniform(0, 2e9, n),
                          rng.uniform(-2, 2, n) * cfg.gamma,
                          rng.uniform(0, 1e-6, n))
-    det_err = abs(bs.det2(bs.chain_matrix(chain, 0.7 * cfg.gamma, cfg, geom)) - 1)
+    delta = 0.7 * cfg.gamma
+    m = bs.chain_matrix(chain, delta, cfg, geom)
+    det_err = abs(bs.det2(m) - 1)
+    tree = bs.scatter(m)
+    scan = bs.scatter(bs.chain_matrix(chain, np.array([delta]), cfg, geom))
+    r_o, t_o = bs.solve_boundary_value(chain, delta, cfg, geom)
+    t_mirror = bs.scatter(bs.chain_matrix(chain.mirrored(), delta, cfg, geom)).big_t
+    long_err = max(abs(tree.r - scan.r[0]), abs(tree.t - scan.t[0]),
+                   abs(tree.r - r_o), abs(tree.t - t_o),
+                   abs(scan.r[0] - r_o), abs(scan.t[0] - t_o),
+                   abs(t_mirror - tree.big_t))
     # R + T = 1 to 1e-12 for a real-strength chain
     m = bs.identity_matrix()
     for zr, g in zip(rng.uniform(-0.05, 0.05, 400), rng.uniform(0, 1e-6, 400)):
@@ -66,9 +78,11 @@ def test_03_engine_exactness(cfg, geom):
         m = bs.matmul2(m, bs.gap_matrix(float(g), geom.k_brg, geom.beta_i))
     res = bs.scatter(m)
     loss_err = abs(res.big_r + res.big_t - 1.0)
-    ok = worst_cf <= 1e-12 and det_err <= 1e-9 and loss_err <= 1e-12
+    ok = (worst_cf <= 1e-12 and det_err <= 1e-9 and long_err <= 1e-10
+          and loss_err <= 1e-12)
     assert report("3 engine exactness", ok,
                   f"closed-form {worst_cf:.2e} (1e-12), det {det_err:.2e} (1e-9), "
+                  f"tree/scan/oracle/mirror {long_err:.2e} (1e-10), "
                   f"R+T-1 {loss_err:.2e} (1e-12)")
 
 

@@ -144,6 +144,15 @@ def test_config_error_reported(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"[model]\nkind = perfect\xff\n")
+    assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line 2: {bad} is not UTF-8 text")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_import_loads_no_scipy():
     # only the boundary-value oracle needs scipy, and imports it when called
     code = ("import sys, braggstack.cli; "

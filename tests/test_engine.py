@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.engine import OVERFLOW_LIMIT, ZETA_BLOCK, _check_overflow, _zeta_blocks
+from braggstack.engine import ZETA_BLOCK, _zeta_blocks
 
 
 def make_random_chain(rng, max_slabs=20, gamma=bs.GAMMA_RB85_D2):
@@ -149,26 +149,20 @@ def test_mirror_symmetric_detuning_of_lattice_constant(cfg1, geom):
     assert np.max(np.abs(spectra[+1] - spectra[-1][::-1])) < 1e-12
 
 
-def test_overflow_guard_trips(cfg, geom):
-    # deep in the stop band of 20,000 detuned periods the field recurrence
-    # grows like 1/|t|; the guard names the first slab whose entering
-    # amplitudes pass the limit in the written-out recurrence
+def test_opaque_field_profiles_meet_their_boundaries(cfg, geom):
+    # deep in a stop band the forward field falls like |t|; the star-scan
+    # amplitudes keep every factor bounded, so the profile stays finite and
+    # its entry and exit samples are |1 + r|^2 and |t|^2 however opaque the
+    # chain (|t|^2 ~ 1e-97 over the 20,000 detuned periods)
     g8 = geom.with_lattice_mismatch(0.8e-9)
-    chain = bs.perfect_lattice(3e17, 20_000, g8).repeated()
-    r = bs.scatter(bs.chain_matrix(chain, 0.0, cfg, g8)).r
-    iz = 1j * bs.zeta(chain.surface_density, -chain.stark_shift, cfg)
-    exits = np.exp(1j * g8.k_brg * math.cos(g8.beta_i) * chain.gap_after)
-    e_plus, e_minus = 1.0 + 0.0j, r
-    for j in range(chain.n_slabs):
-        e_plus, e_minus = ((1.0 + iz[j]) * e_plus + iz[j] * e_minus,
-                           -iz[j] * e_plus + (1.0 - iz[j]) * e_minus)
-        if max(abs(e_plus), abs(e_minus)) > OVERFLOW_LIMIT:
-            break
-        e_plus, e_minus = e_plus * exits[j], e_minus / exits[j]
-    assert 0 < j < chain.n_slabs - 1
-    with pytest.raises(bs.OverflowGuardError,
-                       match=rf"^field amplitudes diverged at slab {j}$"):
-        bs.field_profile(chain, 0.0, 4, cfg, g8)
+    for chain, g in ((bs.perfect_lattice(3e17, 20_000, g8), g8),
+                     (bs.two_component_lattice(3e17, 0.2, 1500, 10, geom), geom),
+                     (bs.two_component_lattice(3e17, 0.2, 3000, 10, geom), geom)):
+        res = bs.scatter(bs.chain_matrix(chain, 0.0, cfg, g))
+        _, intensity = bs.field_profile(chain, 0.0, 4, cfg, g)
+        assert np.all(np.isfinite(intensity))
+        assert intensity[0] == pytest.approx(abs(1 + res.r) ** 2, rel=1e-9, abs=0)
+        assert intensity[-1] == pytest.approx(res.big_t, rel=1e-9, abs=0)
 
 
 def test_empty_chain_is_identity(cfg, geom):
@@ -198,6 +192,49 @@ def test_field_profile_requires_two_samples(cfg, geom):
     chain = bs.perfect_lattice(3e17, 3, geom)
     with pytest.raises(ValueError):
         bs.field_profile(chain, 0.0, 1, cfg, geom)
+
+
+@pytest.mark.parametrize("chain, delta, intensity", [
+    (bs.SlabChain(np.zeros(0), np.zeros(0), np.zeros(0)), 0.0, 1.0),
+    (bs.SlabChain([1e12], [0.0], [0.0], periods=3), 0.0, 0.6101565076132991),
+    (bs.SlabChain([1e12], [0.0], [1e-7]), math.nan, None),
+], ids=["empty", "gapless", "nan-detuning"])
+def test_field_profile_edge_cases(cfg, geom, chain, delta, intensity):
+    # without a gap only the entry sample |1 + r|^2 is left; a non-finite
+    # detuning is named
+    if intensity is None:
+        with pytest.raises(ValueError, match="^delta_brg must be finite"):
+            bs.field_profile(chain, delta, 4, cfg, geom)
+        return
+    z, got = bs.field_profile(chain, delta, 4, cfg, geom)
+    assert z.tolist() == [0.0]
+    assert got.tolist() == pytest.approx([intensity], rel=1e-12)
+
+
+_passive_slabs = st.lists(st.tuples(st.floats(0.0, 3e11), st.floats(-5.0, 5.0),
+                                    st.floats(1e-9, 1.5e-6)),
+                          min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slabs=_passive_slabs,
+       periods=st.one_of(st.integers(1, 100), st.integers(1500, 3000)),
+       delta=st.floats(-12.0, 12.0))
+def test_absorption_at_the_layers_is_one_minus_r_minus_t(cfg, geom, slabs,
+                                                          periods, delta):
+    # a point layer absorbs 2 Im zeta |E|^2 of the incident flux, and with
+    # every gap > 0 the profile samples the field at each layer (the entry
+    # sample, then the end of each gap): an independent check of every
+    # interior amplitude against A = 1 - R - T of the periodic path
+    sd, shift, gap = (np.array(v) for v in zip(*slabs))
+    chain = bs.SlabChain(sd, shift * cfg.gamma, gap, periods=periods)
+    flat = chain.repeated()
+    spg = 2
+    _, intensity = bs.field_profile(chain, delta * cfg.gamma, spg, cfg, geom)
+    z = bs.zeta(flat.surface_density, delta * cfg.gamma - flat.stark_shift, cfg)
+    absorbed = np.sum(2.0 * z.imag * intensity[:-1:spg])
+    big_a = bs.scatter(bs.chain_matrix(chain, delta * cfg.gamma, cfg, geom)).big_a
+    assert abs(absorbed - big_a) <= 1e-10
 
 
 def test_bloch_phase_free_dispersion(geom):
@@ -469,7 +506,8 @@ def _reference_profile(chain, delta, samples_per_gap, r, cfg, geom):
 
 def test_field_profile_equals_reference_loop_bitwise(cfg, geom):
     # 2,100 gapped slabs at 64 samples fill more than one vectorized block;
-    # the second chain has Stark shifts and zero gaps
+    # the second chain has Stark shifts and zero gaps.  z keeps the bits of
+    # the loop; the star-scan amplitudes match its recurrence to rounding
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=30, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
     stark = bs.SlabChain(stark.surface_density, stark.stark_shift,
@@ -482,41 +520,7 @@ def test_field_profile_equals_reference_loop_bitwise(cfg, geom):
             z, intensity = bs.field_profile(chain, delta, spg, cfg, geom)
             z_ref, i_ref = _reference_profile(chain, delta, spg, r, cfg, geom)
             assert z.tobytes() == z_ref.tobytes()
-            assert intensity.tobytes() == i_ref.tobytes()
-
-
-_DIAGONAL = complex(1.0, 1.0) / math.sqrt(2.0)  # modulus 1, equal parts
-
-
-@pytest.mark.parametrize("entry, trips", [
-    (1e12 * _DIAGONAL * (1 - 1e-15), False),
-    (1e12 * _DIAGONAL * (1 + 1e-15), True),
-    (0.70709e12 * complex(1, 1), False),
-    (0.7072e12 * complex(1, 1), True),
-    (complex(0.8e12, 0.0), False),
-    (complex(0.0, 1e12), False),
-    (complex(0.0, np.nextafter(1e12, np.inf)), True),
-    (complex(-1e12, 0.0), False),
-    (complex(np.nan, 0.0), True),
-    (complex(0.0, np.nan), True),
-    (complex(np.inf, 0.0), True),
-    (complex(0.0, -np.inf), True),
-])
-def test_overflow_guard_decides_as_the_modulus_check(entry, trips):
-    # field_profile's guard over (E+, E-) entering each slab: a slab trips
-    # exactly when the modulus of either amplitude is non-finite or above
-    # the limit, and the first such slab is named
-    assert (not np.isfinite(abs(entry)) or abs(entry) > OVERFLOW_LIMIT) == trips
-    for row in (0, 1):
-        amplitudes = np.ones((2, 4), dtype=complex)
-        amplitudes[row, 2] = entry
-        amplitudes[1 - row, 3] = entry
-        if trips:
-            with pytest.raises(bs.OverflowGuardError,
-                               match=r"^field amplitudes diverged at slab 2$"):
-                _check_overflow(amplitudes)
-        else:
-            _check_overflow(amplitudes)
+            assert np.max(np.abs(intensity / i_ref - 1.0)) <= 1e-11
 
 
 @pytest.mark.parametrize("periods", [1, 3])
