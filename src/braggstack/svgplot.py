@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tableio import format_rows
+
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 36, 52
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -61,6 +63,14 @@ def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
     series = list(series)
     if not series:
         raise ValueError("need at least one series")
+    for i, s in enumerate(series):  # zip would drop points; min() fails on none
+        name, n, m = repr(s.label) if s.label else f"#{i}", np.size(s.x), np.size(s.y)
+        if np.ndim(s.x) != 1 or np.ndim(s.y) != 1:
+            raise ValueError(f"series {name}: x and y must be 1-d")
+        if n != m:
+            raise ValueError(f"series {name}: x has {n} points, y has {m}")
+        if n == 0:
+            raise ValueError(f"series {name} is empty")
     xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -110,10 +120,9 @@ def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         # px and py over whole arrays: the same float64 operations, in the
-        # same order, as on one point
-        xy = zip(px(np.asarray(s.x, dtype=float)).tolist(),
-                 py(np.asarray(s.y, dtype=float)).tolist())
-        pts = " ".join(map("%.3f,%.3f".__mod__, xy))
+        # same order, as on one point; [:-1] drops the last separator
+        xy = [px(np.asarray(s.x, dtype=float)), py(np.asarray(s.y, dtype=float))]
+        pts = "".join(format_rows("%.3f,%.3f ", xy))[:-1]
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         if s.label:

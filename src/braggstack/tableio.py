@@ -3,10 +3,20 @@
 17 significant digits, '\n' line endings and sorted `# key = value` metadata
 lines make the files byte-stable across runs and round-trip exact; volatile
 metadata (timestamps) is kept in memory but never written.
+
+format_rows formats the rows, and svgplot's polyline points, in blocks of
+BLOCK_ROWS.  More than one block on more than one usable CPU goes to a fork
+pool with one worker per CPU (no setting), unless fork is missing or this is a
+daemon process, which may not have children; the blocks come back in order, so
+the bytes are those of the serial path.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import closing, nullcontext
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,22 +32,53 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _format_block(template: str, block) -> str:
+    # one % over the block's cells in row order: the text of template % row
+    # row after row, without a call and a string per row
+    cells = chain.from_iterable(zip(*[a.tolist() for a in block]))
+    return (template * len(block[0])) % tuple(cells)
+
+
+def format_rows(template: str, arrays):
+    """template % row for each row of the equal-length 1-d arrays, in text
+    blocks of BLOCK_ROWS rows, in order (see the module docstring).
+
+    Rows are formatted over the Python numbers of tolist(), so a "%.17g"
+    cell gives the bytes of format_float(float(v)).
+    """
+    rows = BLOCK_ROWS  # read per call, so that a patched value takes effect
+    blocks = [[a[i:i + rows] for a in arrays]
+              for i in range(0, len(arrays[0]), rows)]
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
+    workers, pool = min(len(cpus), len(blocks)), None
+    if workers > 1:
+        import multiprocessing  # lazily: importing the CLI does not load it
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            pool = multiprocessing.get_context("fork").Pool(workers)
+    with pool or nullcontext():
+        fmt = partial(_format_block, template)
+        yield from (pool.imap if pool else map)(fmt, blocks)
+
+
 def _blocks(columns: dict, metadata: dict | None):
-    """The CSV text as an iterator of blocks: the header, then BLOCK_ROWS
-    rows at a time.
+    """The CSV text as an iterator of blocks: the header, then the rows
+    from format_rows.
 
     The columns are checked before the iterator is returned, so a bad table
-    writes nothing.  Each row is one fused "%.17g,...\n" format over the
-    Python numbers of tolist(), which gives the bytes of
-    format_float(float(v)) per cell.  A complex column is refused: float()
-    would drop its imaginary part.
+    writes nothing.  A complex column is refused: float() would drop its
+    imaginary part.
     """
     names = list(columns)
+    if not names:
+        raise ValueError("need at least one column")
     arrays = [np.asarray(columns[name]) for name in names]
     length = arrays[0].size
     if any(a.size != length for a in arrays):
         raise ValueError("columns must have equal length")
     for name, a in zip(names, arrays):
+        if a.ndim != 1:
+            raise ValueError(f"column {name!r} is {a.ndim}-d; columns must be 1-d")
         if np.iscomplexobj(a):
             raise TypeError(f"column {name!r} is complex; write its real "
                             f"and imaginary parts as two columns")
@@ -48,9 +89,7 @@ def _blocks(columns: dict, metadata: dict | None):
 
     def gen():
         yield "".join(head)
-        for i in range(0, length, BLOCK_ROWS):
-            cells = zip(*[a[i:i + BLOCK_ROWS].tolist() for a in arrays])
-            yield "".join(map(row.__mod__, cells))
+        yield from format_rows(row, arrays)
 
     return gen()
 
@@ -61,10 +100,11 @@ def render_csv(columns: dict, metadata: dict | None = None) -> str:
 
 
 def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
-    """render_csv(columns, metadata) to a file, written block by block."""
+    """render_csv(columns, metadata) to a file, written block by block; a
+    failed write closes the blocks, which ends their pool."""
     blocks = _blocks(columns, metadata)
     try:
-        with open(path, "wb") as f:
+        with closing(blocks), open(path, "wb") as f:
             for block in blocks:
                 f.write(block.encode("utf-8"))
     except OSError as exc:

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 import braggstack as bs
@@ -19,3 +21,11 @@ def cfg():
 def cfg1():
     """Single unit-strength line at zero offset."""
     return bs.single_line_config()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes():
+    """Fail a test that leaves a child process (a formatting pool worker) alive."""
+    yield
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"test left child processes running: {leaked}"

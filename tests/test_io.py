@@ -1,4 +1,9 @@
+import errno
+import io
 import math
+import multiprocessing
+import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -211,12 +216,12 @@ _coords = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.lists(st.tuples(
-    st.lists(_coords, min_size=1, max_size=20),
-    st.lists(_coords, min_size=1, max_size=20),
+    st.lists(st.tuples(_coords, _coords), min_size=1, max_size=20),
     st.sampled_from([np.float64, np.float32, np.int64])), min_size=1, max_size=3))
 def test_render_svg_points_equal_per_point_formatting(data):
-    series = [Series(np.asarray(x).astype(dtype), np.asarray(y).astype(dtype),
-                     f"s{i}") for i, (x, y, dtype) in enumerate(data)]
+    series = [Series(np.asarray([x for x, _ in xy]).astype(dtype),
+                     np.asarray([y for _, y in xy]).astype(dtype), f"s{i}")
+              for i, (xy, dtype) in enumerate(data)]
     doc = render_svg(series, "x", "y")
     points = [line.split('points="')[1].split('"')[0]
               for line in doc.splitlines() if line.startswith("<polyline")]
@@ -265,3 +270,130 @@ def test_constant_axis_above_2_53_widens_relatively(value):
 def test_render_svg_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         render_svg([Series(np.array([0.0, 1.0]), np.array([0.5, bad]))], "x", "y")
+
+
+@pytest.mark.parametrize("series, message", [
+    # zip would plot min(len(x), len(y)) points without a word
+    ([Series(np.arange(5.0), np.arange(3.0), "short y")],
+     "series 'short y': x has 5 points, y has 3"),
+    ([Series(np.arange(3.0), np.arange(3.0), "good"),
+      Series(np.arange(2.0), np.arange(4.0))],
+     "series #1: x has 2 points, y has 4"),
+    ([Series(np.array([]), np.array([]))], "series #0 is empty"),
+    ([Series(np.array([]), np.array([]), "none")], "series 'none' is empty"),
+    ([Series(np.zeros((3, 2)), np.zeros((3, 2)))], "series #0: x and y must be 1-d"),
+    ([Series(1.0, 2.0, "point")], "series 'point': x and y must be 1-d"),
+])
+def test_render_svg_rejects_malformed_series(series, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        render_svg(series, "x", "y")
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({}, "need at least one column"),
+    ({"a": np.zeros((3, 2)), "b": np.zeros(6)}, "column 'a' is 2-d"),
+    ({"x": np.zeros(1), "s": np.float64(1.0)}, "column 's' is 0-d"),
+])
+def test_csv_bad_table_rejected_before_writing(tmp_path, columns, message):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=message):
+        render_csv(columns)
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, columns)
+    assert not path.exists()
+
+
+fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                               reason="the pool path needs the fork start method")
+
+
+def _cpus(n):
+    # the usable CPUs the formatter sees
+    return mock.patch.object(os, "sched_getaffinity", create=True,
+                             return_value=set(range(n)))
+
+
+def _mixed_table(rows):
+    z = np.linspace(-1.0, 1.0, rows) ** 3
+    return {"z": z, "tiny": -z * 1e-310, "f32": (z * 7).astype(np.float32),
+            "i": np.arange(rows, dtype=np.int64) - rows // 2, "k": np.arange(rows) % 3 == 0}
+
+
+def _outputs(columns, path):
+    # the CSV rendered and written, and the polylines of two series
+    write_csv(path, columns)
+    doc = render_svg([Series(columns["z"], columns["f32"], "a"),
+                      Series(columns["i"], columns["tiny"])], "x", "y")
+    points = [line.split('points="')[1].split('"')[0]
+              for line in doc.splitlines() if line.startswith("<polyline")]
+    return render_csv(columns), path.read_bytes(), points
+
+
+@fork_only
+@pytest.mark.parametrize("block", [64, tableio.BLOCK_ROWS])
+def test_pool_keeps_the_bytes(tmp_path, block):
+    # three blocks, the last of one row, on a pool of two workers
+    columns = _mixed_table(2 * block + 1)
+    fork = multiprocessing.get_context("fork")
+    with mock.patch.object(tableio, "BLOCK_ROWS", block), \
+            _cpus(2), \
+            mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool:
+        text, raw, points = _outputs(columns, tmp_path / "pool.csv")
+        assert pool.call_count == 4 and pool.call_args.args == (2,)
+        with _cpus(1):
+            serial = _outputs(columns, tmp_path / "serial.csv")
+        assert pool.call_count == 4
+    reference = _csv_per_cell(columns)
+    assert text == reference and raw == reference.encode("utf-8")
+    assert points == _polylines_per_point([Series(columns["z"], columns["f32"]),
+                                           Series(columns["i"], columns["tiny"])])
+    assert serial == (text, raw, points)
+
+
+@fork_only
+def test_one_block_never_starts_a_pool(tmp_path):
+    columns = _mixed_table(tableio.BLOCK_ROWS)
+    with _cpus(2), \
+            mock.patch.object(multiprocessing.get_context("fork"), "Pool",
+                              side_effect=AssertionError("pool started")):
+        text, raw, _ = _outputs(columns, tmp_path / "t.csv")
+    assert raw == text.encode("utf-8")
+
+
+@fork_only
+def test_daemon_process_formats_serially():
+    # a pool worker is a daemon and may not start a pool of its own
+    columns = _mixed_table(40)
+    with mock.patch.object(tableio, "BLOCK_ROWS", 8), \
+            _cpus(2):
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            text = outer.apply(render_csv, (columns,))
+    assert text == _csv_per_cell(columns)
+
+
+class _DiskFullAfterOneBlock(io.FileIO):
+    # the header and one block of rows are written, then the disk is full
+    writes = 0
+
+    def write(self, b):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(b)
+
+
+@fork_only
+def test_failed_write_ends_the_pool(tmp_path):
+    path = tmp_path / "t.csv"
+    fork = multiprocessing.get_context("fork")
+    with mock.patch.object(tableio, "BLOCK_ROWS", 16), \
+            _cpus(2), \
+            mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool, \
+            mock.patch.object(tableio, "open", _DiskFullAfterOneBlock, create=True):
+        with pytest.raises(OSError, match=re.escape(f"cannot write {path}")) as failure:
+            write_csv(path, _mixed_table(1000))
+    # the pool is gone while the caller still holds the error (and with it
+    # write_csv's frame), not only once the error is collected
+    assert pool.call_count == 1
+    assert multiprocessing.active_children() == []
+    assert failure.value.__cause__.errno == errno.ENOSPC
