@@ -22,8 +22,8 @@ from .config import ConfigError, default_config_text, parse_config
 from .engine import field_profile
 from .experiments import atom_number_to_density, band_structure, detected_powers, \
     lattice_constant_scan, saturation_scan, spectrum, sweep_scatter
-from .svgplot import Series, render_svg, spectrum_series, write_svg
-from .tableio import spectrum_columns, write_csv
+from .svgplot import Series, spectrum_series, svg_blocks
+from .tableio import spectrum_columns, write_blocks, write_csv
 from .verify import run_verification
 
 # A compute function maps a RunConfig to (csv_files, svg): csv_files lists
@@ -132,7 +132,7 @@ def run_command(compute, args) -> int:
         print(f"wrote {path}")
     if args.svg:
         path = out / f"{run.scan.out}{svg_suffix}.svg"
-        write_svg(path, render_svg(series, xlabel, ylabel))
+        write_blocks(path, svg_blocks(series, xlabel, ylabel))
         print(f"wrote {path}")
     return 0
 

@@ -8,17 +8,18 @@ golden files.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .tableio import format_rows
+from .tableio import format_rows, write_blocks
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 36, 52
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
+ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # text content
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,9 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
-    """Line plot of the given series with axes, ticks and a legend."""
+def svg_blocks(series, xlabel: str, ylabel: str, title: str = ""):
+    """render_svg's document in blocks: the axes, then each polyline with its
+    points as format_rows yields them.  A bad series raises before the first."""
     series = list(series)
     if not series:
         raise ValueError("need at least one series")
@@ -71,10 +73,9 @@ def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
             raise ValueError(f"series {name}: x has {n} points, y has {m}")
         if n == 0:
             raise ValueError(f"series {name} is empty")
-    xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    # limits of the series' limits, in numpy: a NaN anywhere gives NaN limits
+    x_lo, x_hi = (float(f([f(s.x) for s in series])) for f in (np.min, np.max))
+    y_lo, y_hi = (float(f([f(s.y) for s in series])) for f in (np.min, np.max))
     x_hi, y_hi = _widened(x_lo, x_hi), _widened(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
@@ -109,30 +110,40 @@ def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
         out.append(f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 4)}" {font} '
                    f'text-anchor="end">{t:g}</text>')
     out.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
-               f'{font} text-anchor="middle">{xlabel}</text>')
+               f'{font} text-anchor="middle">{xlabel.translate(ESCAPES)}</text>')
     out.append(f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" {font} '
                f'text-anchor="middle" transform="rotate(-90 18 '
-               f'{MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>')
+               f'{MARGIN_T + plot_h / 2:.1f})">{ylabel.translate(ESCAPES)}</text>')
     if title:
         out.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="24" {font} '
-                   f'text-anchor="middle">{title}</text>')
+                   f'text-anchor="middle">{title.translate(ESCAPES)}</text>')
 
-    for i, s in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        # px and py over whole arrays: the same float64 operations, in the
-        # same order, as on one point; [:-1] drops the last separator
-        xy = [px(np.asarray(s.x, dtype=float)), py(np.asarray(s.y, dtype=float))]
-        pts = "".join(format_rows("%.3f,%.3f ", xy))[:-1]
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"/>')
-        if s.label:
-            ly = MARGIN_T + 16 + 16 * i
-            lx = WIDTH - MARGIN_R - 150
-            out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
-                       f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
-            out.append(f'<text x="{lx + 28}" y="{ly}" {font}>{s.label}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    def gen():
+        yield "\n".join(out) + "\n"
+        for i, s in enumerate(series):
+            color = PALETTE[i % len(PALETTE)]
+            # px and py over whole arrays: the same float64 operations, in
+            # the same order, as on one point; the first point has no space
+            xy = [px(np.asarray(s.x, dtype=float)), py(np.asarray(s.y, dtype=float))]
+            with closing(format_rows(" %.3f,%.3f", xy)) as points:
+                yield '<polyline points="' + next(points)[1:]
+                yield from points
+            yield f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
+            if s.label:
+                ly = MARGIN_T + 16 + 16 * i
+                lx = WIDTH - MARGIN_R - 150
+                yield (f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
+                       f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>\n'
+                       f'<text x="{lx + 28}" y="{ly}" {font}>'
+                       f'{s.label.translate(ESCAPES)}</text>\n')
+        yield "</svg>\n"
+
+    return gen()
+
+
+def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
+    """Line plot of the given series with axes, ticks and a legend."""
+    return "".join(svg_blocks(series, xlabel, ylabel, title))
 
 
 def spectrum_series(tables, column: str = "R"):
@@ -147,4 +158,5 @@ def spectrum_series(tables, column: str = "R"):
 
 
 def write_svg(path, svg_text: str) -> None:
-    Path(path).write_bytes(svg_text.encode("utf-8"))
+    """svg_text to a file, through write_blocks, which closes what it writes."""
+    write_blocks(path, (block for block in [svg_text]))

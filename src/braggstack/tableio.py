@@ -14,6 +14,7 @@ the bytes are those of the serial path.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import closing, nullcontext
 from functools import partial
 from itertools import chain
@@ -26,6 +27,8 @@ from .experiments import SpectrumTable
 SPECTRUM_COLUMNS = ("delta_over_gamma", "R", "T", "A", "phi_rad")
 VOLATILE_KEYS = frozenset({"created"})
 BLOCK_ROWS = 1 << 15  # rows per formatted text block (~2 MB of text)
+_HEADER = re.compile(r"^([^#\n].*)\n", re.M)  # the first row not blank or "#"
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def format_float(x: float) -> str:
@@ -99,10 +102,9 @@ def render_csv(columns: dict, metadata: dict | None = None) -> str:
     return "".join(_blocks(columns, metadata))
 
 
-def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
-    """render_csv(columns, metadata) to a file, written block by block; a
+def write_blocks(path, blocks) -> None:
+    """Write an iterator of text blocks to a file, one block at a time; a
     failed write closes the blocks, which ends their pool."""
-    blocks = _blocks(columns, metadata)
     try:
         with closing(blocks), open(path, "wb") as f:
             for block in blocks:
@@ -111,32 +113,43 @@ def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
+    """render_csv(columns, metadata) to a file, written block by block."""
+    write_blocks(path, _blocks(columns, metadata))
+
+
 def read_csv(path):
-    """Read back (columns, metadata) from a CSV written by write_csv."""
+    """Read back (columns, metadata) from a CSV written by write_csv.
+
+    The rows after the header are parsed by one numpy call, once every row
+    is seen to have one cell per column.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    metadata = {}
-    header = None
-    rows = []
-    for raw in text.splitlines():
-        if not raw:
-            continue
-        if raw.startswith("#"):
-            body = raw[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                metadata[key.strip()] = value.strip()
-            continue
-        if header is None:
-            header = raw.split(",")
-            continue
-        rows.append([float(v) for v in raw.split(",")])
+    if not text.endswith("\n"):
+        text += "\n"  # the last row ends as the others do
+    header = _HEADER.search(text)
     if header is None:
         raise ValueError(f"{path}: no header row")
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    columns = {name: data[:, i].copy() for i, name in enumerate(header)}
+    metadata = {}
+    for raw in text[:header.start()].splitlines():
+        if "=" in raw:
+            key, value = raw[1:].split("=", 1)
+            metadata[key.strip()] = value.strip()
+    names, body = header.group(1).split(","), text[header.end():]
+    seps = body.encode().translate(None, _NOT_SEPARATORS)
+    row = b"," * (len(names) - 1)
+    if seps != (row + b"\n") * seps.count(b"\n"):
+        line, cells = next((i, s.count(b",") + 1) for i, s in enumerate(
+            seps.split(b"\n"), text.count("\n", 0, header.end()) + 1) if s != row)
+        raise ValueError(f"{path}: line {line} has {cells} cells, not {len(names)}")
+    try:
+        data = np.fromstring(body.replace("\n", ","), sep=",").reshape(-1, len(names))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    columns = {name: data[:, i].copy() for i, name in enumerate(names)}
     return columns, metadata
 
 

@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from braggstack import verify
+from braggstack import cli, verify
 from braggstack.cli import main
-from braggstack.tableio import read_csv, read_spectrum_csv
+from braggstack.config import default_config_text, parse_config
+from braggstack.svgplot import render_svg
+from braggstack.tableio import read_csv, read_spectrum_csv, render_csv
 
 FAST_CONFIG = """
 [model]
@@ -102,6 +104,22 @@ def test_powers_command(tmp_path, config_path):
     total = cols["P_r_W"] + cols["P_t_W"] + cols["P_a_W"]
     np.testing.assert_allclose(total, 30e-6, rtol=1e-12)
     assert meta["scan.eta"] == "0.16"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_files_equal_in_memory_renders(tmp_path, command):
+    # the streamed writers against the string renders, on the default config
+    assert main([command, "--svg", "--out", str(tmp_path)]) == 0
+    run = parse_config(default_config_text())
+    csv_files, (svg_suffix, series, xlabel, ylabel) = cli.COMMANDS[command][0](run)
+    expected = {f"{run.scan.out}{suffix}.csv":
+                render_csv(columns, {**metadata, **run.echo}).encode("utf-8")
+                for suffix, columns, metadata in csv_files}
+    expected[f"{run.scan.out}{svg_suffix}.svg"] = \
+        render_svg(series, xlabel, ylabel).encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, data in expected.items():
+        assert (tmp_path / name).read_bytes() == data, name
 
 
 def test_verify_command_passes(capsys):

@@ -4,18 +4,20 @@ import math
 import multiprocessing
 import os
 import re
+import tracemalloc
+import xml.etree.ElementTree as ET
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import braggstack as bs
 from braggstack import svgplot, tableio
-from braggstack.svgplot import Series, render_svg, spectrum_series
+from braggstack.svgplot import Series, render_svg, spectrum_series, svg_blocks
 from braggstack.tableio import format_float, read_csv, read_spectrum_csv, \
-    render_csv, write_csv, write_spectrum_csv
+    render_csv, write_blocks, write_csv, write_spectrum_csv
 
 
 @pytest.fixture()
@@ -179,6 +181,51 @@ def test_csv_blocks_with_one_row_tail(tmp_path):
     assert render_csv(columns) == _csv_per_cell(columns)
 
 
+_EXTREMES = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                      2.2250738585072014e-308, 1.7976931348623157e+308,
+                      -1.7976931348623157e+308, 0.1, -2.5e-17])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cols=st.lists(_column, min_size=1, max_size=4))
+@example(cols=[_EXTREMES, np.arange(11) - 5, np.arange(11) % 2 == 0,
+               np.full(11, 2**63 - 1, dtype=np.uint64)])
+def test_read_csv_round_trips_every_written_value(tmp_path_factory, cols):
+    n = min(c.size for c in cols)
+    columns = {f"c{i}": c[:n] for i, c in enumerate(cols)}
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, columns, {"k": "v = w"})
+    back, meta = read_csv(path)
+    assert meta == {"k": "v = w"} and list(back) == list(columns)
+    for name, column in columns.items():
+        want, got = np.asarray(column, dtype=float), back[name]
+        assert got.dtype == np.float64 and got.base is None
+        # bit for bit, but for the payload of a NaN, which "nan" drops
+        same = got.view(np.int64) == want.view(np.int64)
+        assert np.all(same | (np.isnan(got) & np.isnan(want)))
+
+
+@pytest.mark.parametrize("rows, line, cells", [
+    ("1,2,3\n4,5\n", 5, 2),
+    ("1,2,3\n4,5,6,7\n8,9\n", 5, 4),  # the cell counts even out
+    ("1,2,3\n\n4,5,6\n", 5, 1),
+    ("1,2,3\n4,5,6\n7,8,9,10", 6, 4),  # no final newline
+])
+def test_read_csv_names_the_line_of_a_ragged_row(tmp_path, rows, line, cells):
+    path = tmp_path / "t.csv"
+    path.write_text("# a = 1\n\nx,y,z\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line {line} has {cells} cells, not 3")):
+        read_csv(path)
+
+
+def test_read_csv_names_the_file_of_a_bad_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y\n1,2\n3,four\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        read_csv(path)
+
+
 def test_csv_complex_column_rejected_before_writing(tmp_path):
     path = tmp_path / "t.csv"
     with pytest.raises(TypeError, match="complex"):
@@ -267,9 +314,14 @@ def test_constant_axis_above_2_53_widens_relatively(value):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_render_svg_rejects_non_finite(bad):
+def test_render_svg_rejects_non_finite(tmp_path, bad):
+    series = [Series(np.arange(3.0), np.arange(3.0)),
+              Series(np.array([0.0, 1.0]), np.array([0.5, bad]))]
     with pytest.raises(ValueError):
-        render_svg([Series(np.array([0.0, 1.0]), np.array([0.5, bad]))], "x", "y")
+        render_svg(series, "x", "y")
+    with pytest.raises(ValueError):
+        write_blocks(tmp_path / "t.svg", svg_blocks(series, "x", "y"))
+    assert not (tmp_path / "t.svg").exists()
 
 
 @pytest.mark.parametrize("series, message", [
@@ -284,8 +336,60 @@ def test_render_svg_rejects_non_finite(bad):
     ([Series(np.zeros((3, 2)), np.zeros((3, 2)))], "series #0: x and y must be 1-d"),
     ([Series(1.0, 2.0, "point")], "series 'point': x and y must be 1-d"),
 ])
-def test_render_svg_rejects_malformed_series(series, message):
+def test_render_svg_rejects_malformed_series(tmp_path, series, message):
     with pytest.raises(ValueError, match=re.escape(message)):
+        render_svg(series, "x", "y")
+    # the streamed document is checked before its file is opened
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_blocks(tmp_path / "t.svg", svg_blocks(series, "x", "y"))
+    assert not (tmp_path / "t.svg").exists()
+
+
+_xml_text = st.text(st.one_of(
+    st.sampled_from("&<>;#'\" amp lt"),
+    # every character XML 1.0 carries in text content as itself
+    st.characters(exclude_categories=("Cs", "Cc"), exclude_characters="\ufffe\uffff")),
+    min_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(label=_xml_text, xlabel=_xml_text, ylabel=_xml_text, title=_xml_text)
+@example(label="R < 1 & T", xlabel="x", ylabel="y", title="a > b")
+def test_svg_text_is_escaped(label, xlabel, ylabel, title):
+    doc = render_svg([Series(np.arange(3.0), np.arange(3.0), label)], xlabel,
+                     ylabel, title)
+    texts = [e.text for e in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[-4:] == [xlabel, ylabel, title, label]
+
+
+def test_svg_blocks_hold_one_block_of_points():
+    n = 2 * tableio.BLOCK_ROWS + 1
+    x = np.linspace(0.0, 1.0, n)
+    series = [Series(x, np.cos(9.0 * x), "a")]
+    blocks = list(svg_blocks(series, "x", "y"))
+    doc = render_svg(series, "x", "y")
+    assert "".join(blocks) == doc
+    # a point is at most " 720.000,480.000", 16 characters
+    head = doc[:doc.index('points="') + len('points="')]
+    assert max(map(len, blocks)) <= len(head) + 16 * tableio.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_streamed_svg_write_holds_no_whole_document(tmp_path, cpus):
+    # the document is ~16 B/point; render_svg followed by write_svg peaks
+    # at ~100 B/point
+    n = 4 * tableio.BLOCK_ROWS + 1
+    x = np.linspace(0.0, 1.0, n)
+    series = [Series(x, np.sin(40.0 * x) ** 2, "")]
+    with _cpus(cpus):
+        tracemalloc.start()
+        try:
+            write_blocks(tmp_path / "t.svg", svg_blocks(series, "x", "y"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 64 * n
+    assert (tmp_path / "t.svg").read_text(encoding="utf-8") == \
         render_svg(series, "x", "y")
 
 
@@ -382,18 +486,31 @@ class _DiskFullAfterOneBlock(io.FileIO):
         return super().write(b)
 
 
-@fork_only
-def test_failed_write_ends_the_pool(tmp_path):
-    path = tmp_path / "t.csv"
+def _write_to_full_disk(path, write):
     fork = multiprocessing.get_context("fork")
     with mock.patch.object(tableio, "BLOCK_ROWS", 16), \
             _cpus(2), \
             mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool, \
             mock.patch.object(tableio, "open", _DiskFullAfterOneBlock, create=True):
         with pytest.raises(OSError, match=re.escape(f"cannot write {path}")) as failure:
-            write_csv(path, _mixed_table(1000))
+            write(path)
     # the pool is gone while the caller still holds the error (and with it
-    # write_csv's frame), not only once the error is collected
+    # the writer's frame), not only once the error is collected
     assert pool.call_count == 1
     assert multiprocessing.active_children() == []
     assert failure.value.__cause__.errno == errno.ENOSPC
+
+
+@fork_only
+def test_failed_write_ends_the_pool(tmp_path):
+    _write_to_full_disk(tmp_path / "t.csv",
+                        lambda path: write_csv(path, _mixed_table(1000)))
+
+
+@fork_only
+def test_failed_svg_write_ends_the_pool(tmp_path):
+    # the head, then the first block of points; the second block fails
+    columns = _mixed_table(1000)
+    series = [Series(columns["z"], columns["f32"], "a")]
+    _write_to_full_disk(tmp_path / "t.svg",
+                        lambda path: write_blocks(path, svg_blocks(series, "x", "y")))
