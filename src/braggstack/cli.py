@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, default_config_text, parse_config
-from .engine import field_profile
+from .engine import EngineError, field_profile
 from .experiments import atom_number_to_density, band_structure, detected_powers, \
     lattice_constant_scan, saturation_scan, spectrum, sweep_scatter
 from .svgplot import Series, spectrum_series, svg_blocks
@@ -195,6 +195,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except EngineError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

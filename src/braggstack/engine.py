@@ -43,7 +43,12 @@ PROFILE_BLOCK = 1 << 14
 
 
 class EngineError(RuntimeError):
-    pass
+    """A result the engine cannot represent.  `index` is the first grid
+    index where that happens, or None at a single detuning."""
+
+    def __init__(self, reason: str, index=None):
+        super().__init__(reason if index is None else f"{reason} at grid index {index}")
+        self.reason, self.index = reason, index
 
 
 class SingularMatrixError(EngineError):
@@ -165,11 +170,20 @@ def require_finite(name: str, values) -> np.ndarray:
 
 def _star(a, b):
     """Redheffer star product of amplitudes a = (r, t, r', t') then b."""
+    # each row straight into one array (np.stack would hold all four twice),
+    # taken before the temporaries (after them, a 200k-point sweep peaked
+    # ~1 MB higher); assigned, not computed in place, which changes bits
+    # (see _scan)
+    out = np.empty((4,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+                   dtype=complex)
     r1, t1, p1, u1 = a
     r2, t2, p2, u2 = b
     inv = 1.0 / (1.0 - p1 * r2)
-    return np.stack((r1 + t1 * u1 * r2 * inv, t1 * t2 * inv,
-                     p2 + t2 * u2 * p1 * inv, u1 * u2 * inv))
+    out[0] = r1 + t1 * u1 * r2 * inv
+    out[1] = t1 * t2 * inv
+    out[2] = p2 + t2 * u2 * p1 * inv
+    out[3] = u1 * u2 * inv
+    return out
 
 
 def _amplitudes(m: TransferMatrix):
@@ -184,8 +198,11 @@ def _transfer(r, t, rp, tp) -> TransferMatrix:
     m = np.empty(np.shape(t) + (2, 2), dtype=complex)
     with np.errstate(all="ignore"):
         inv = 1.0 / t
-    if not np.all(np.isfinite(inv)):
-        raise EngineError("|t| below the float range: M22 = 1/t overflows")
+    bad = ~np.isfinite(inv)
+    if bad.any():
+        where = np.argwhere(bad)[0].tolist()  # [] at a single detuning
+        raise EngineError("|t| below the float range: M22 = 1/t overflows",
+                          where[0] if len(where) == 1 else tuple(where) or None)
     m[..., 0, 0] = tp - r * rp * inv
     m[..., 0, 1] = r * inv
     m[..., 1, 0] = -rp * inv

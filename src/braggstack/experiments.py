@@ -15,8 +15,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .engine import ScatterResult, SlabChain, chain_matrix, require_finite, \
-    scatter, unit_cell_matrix, bloch_phase, density_of_states
+from .engine import EngineError, ScatterResult, SlabChain, chain_matrix, \
+    require_finite, scatter, unit_cell_matrix, bloch_phase, density_of_states
 from .geometry import LatticeGeometry
 from .models import two_component_lattice
 from .response import AtomResponseConfig, zeta
@@ -58,11 +58,20 @@ def _chunked(fn, delta: np.ndarray):
 
     fn is elementwise over the grid, so the parts joined in grid order carry
     the same bits as fn(delta).  Scalar, short and multi-dimensional grids
-    are one call.
+    are one call.  An EngineError names its index in the whole grid.
     """
     if delta.ndim != 1 or delta.size <= GRID_CHUNK:
         return fn(delta)
-    parts = [fn(delta[i:i + GRID_CHUNK]) for i in range(0, delta.size, GRID_CHUNK)]
+
+    def part(i):
+        try:
+            return fn(delta[i:i + GRID_CHUNK])
+        except EngineError as exc:
+            if exc.index is None:
+                raise
+            raise type(exc)(exc.reason, i + exc.index) from None
+
+    parts = [part(i) for i in range(0, delta.size, GRID_CHUNK)]
     if isinstance(parts[0], ScatterResult):
         return ScatterResult(*[np.concatenate([getattr(p, f.name) for p in parts])
                                for f in fields(ScatterResult)])

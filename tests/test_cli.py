@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -160,6 +161,17 @@ def test_config_error_reported(tmp_path, capsys):
     assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_engine_error_reported(tmp_path, capsys):
+    # a valid config whose |t| leaves the float range: one line, no traceback
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("[model]\nn_s = 100000\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"engine error: \|t\| below the float range: "
+                        r"M22 = 1/t overflows at grid index \d+\n", err)
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):

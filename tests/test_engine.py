@@ -1,11 +1,13 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.engine import ZETA_BLOCK, _zeta_blocks
+from braggstack.engine import ZETA_BLOCK, _star, _zeta_blocks
 
 
 def make_random_chain(rng, max_slabs=20, gamma=bs.GAMMA_RB85_D2):
@@ -427,6 +429,23 @@ def test_transmission_below_float_range_raises(cfg, geom):
     for delta in (0.0, np.zeros(2)):
         with pytest.raises(bs.EngineError, match="below the float range"):
             bs.chain_matrix(bs.perfect_lattice(3e17, 300_000, g8), delta, cfg, g8)
+    # the error names the first grid index where 1/t overflows, also in a
+    # chunked sweep, where it is the index in the whole grid
+    far = 1e4 * cfg.gamma  # |t| ~ 1 this far off resonance
+    chain = bs.perfect_lattice(3e17, 300_000, g8)
+    with pytest.raises(bs.EngineError) as single:
+        bs.chain_matrix(chain, 0.0, cfg, g8)
+    assert single.value.index is None and str(single.value).endswith("overflows")
+    for grid, index in [(np.array([far, 0.0, far, 0.0]), 1),
+                        (np.array([[far, far], [far, 0.0]]), (1, 1))]:
+        with pytest.raises(bs.EngineError, match=re.escape(f"at grid index {index}")):
+            bs.chain_matrix(chain, grid, cfg, g8)
+    grid = np.full(7, far)
+    grid[5:] = 0.0
+    with mock.patch.object(bs.experiments, "GRID_CHUNK", 2), \
+            pytest.raises(bs.EngineError, match="below the float range") as swept:
+        bs.sweep_scatter(chain, grid, cfg, g8)
+    assert swept.value.index == 5 and str(swept.value).endswith("at grid index 5")
 
 
 def _passive_cell(zs, phases):
@@ -456,6 +475,28 @@ def test_matrix_power_equals_repeated_matmul2(zs, phases, scale, n):
         ref = bs.matmul2(ref, cell)
     got = bs.matrix_power(cell, n)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _stacked_star(a, b):
+    """The star product's four rows, computed apart and then stacked."""
+    r1, t1, p1, u1 = a
+    r2, t2, p2, u2 = b
+    inv = 1.0 / (1.0 - p1 * r2)
+    return np.stack((r1 + t1 * u1 * r2 * inv, t1 * t2 * inv,
+                     p2 + t2 * u2 * p1 * inv, u1 * u2 * inv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shapes=st.sampled_from([((), ()), ((1,), (1,)), ((9,), (9,)), ((9,), (1,)),
+                               ((1,), (6,)), ((3, 1), (1, 5)), ((2, 4), (4,))]))
+def test_star_rows_have_the_bits_of_stacked_rows(seed, shapes):
+    # one-element arrays included: there an in-place product would differ
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(4,) + s) + 1j * rng.normal(size=(4,) + s)
+            for s in shapes)
+    got, want = _star(a, b), _stacked_star(a, b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 _slab_values = st.tuples(st.floats(0.0, 3e11), st.floats(-5.0, 5.0),

@@ -233,8 +233,8 @@ def test_csv_complex_column_rejected_before_writing(tmp_path):
     assert not path.exists()
 
 
-def _polylines_per_point(series):
-    # the points of every polyline, scaled and formatted one point at a time
+def _scaled_per_point(series):
+    # the (x, y) pixel coordinates of every series, one point at a time
     xs = np.concatenate([np.asarray(s.x, dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s.y, dtype=float) for s in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -247,13 +247,23 @@ def _polylines_per_point(series):
     y_lo, y_hi = y_lo - pad, y_hi + pad
     plot_w = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
     plot_h = svgplot.HEIGHT - svgplot.MARGIN_T - svgplot.MARGIN_B
-    out = []
-    for s in series:
-        out.append(" ".join(
-            f"{svgplot.MARGIN_L + (float(x) - x_lo) / (x_hi - x_lo) * plot_w:.3f},"
-            f"{svgplot.MARGIN_T + (y_hi - float(y)) / (y_hi - y_lo) * plot_h:.3f}"
-            for x, y in zip(np.asarray(s.x), np.asarray(s.y))))
-    return out
+    return [[(svgplot.MARGIN_L + (float(x) - x_lo) / (x_hi - x_lo) * plot_w,
+              svgplot.MARGIN_T + (y_hi - float(y)) / (y_hi - y_lo) * plot_h)
+             for x, y in zip(np.asarray(s.x), np.asarray(s.y))] for s in series]
+
+
+def _polylines_per_point(series):
+    # the points of every polyline, scaled and formatted one point at a time
+    return [" ".join(f"{x:.3f},{y:.3f}" for x, y in points)
+            for points in _scaled_per_point(series)]
+
+
+def _polyline_points(doc):
+    return [line.split('points="')[1].split('"')[0]
+            for line in doc.splitlines() if line.startswith("<polyline")]
+
+
+PLOT_W = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
 
 
 _coords = st.one_of(
@@ -269,10 +279,72 @@ def test_render_svg_points_equal_per_point_formatting(data):
     series = [Series(np.asarray([x for x, _ in xy]).astype(dtype),
                      np.asarray([y for _, y in xy]).astype(dtype), f"s{i}")
               for i, (xy, dtype) in enumerate(data)]
-    doc = render_svg(series, "x", "y")
-    points = [line.split('points="')[1].split('"')[0]
-              for line in doc.splitlines() if line.startswith("<polyline")]
-    assert points == _polylines_per_point(series)
+    assert _polyline_points(render_svg(series, "x", "y")) == _polylines_per_point(series)
+
+
+
+def _monotone_series(n, seed, tie, jump, plateau, levels, integer_x):
+    # x non-decreasing with ties (zero steps) and jumps that leave pixel
+    # columns empty; y plateaus of a few levels (tied minima and maxima),
+    # steps between them, plus a ripple
+    rng = np.random.default_rng(seed)
+    dx = rng.integers(1, 4, n) * (rng.random(n) >= tie)
+    dx = dx * np.where(rng.random(n) < jump, 5 * n, 1)
+    x = np.cumsum(dx) if integer_x else np.cumsum(dx * 0.37)
+    y = np.repeat(rng.integers(0, levels, n // plateau + 1), plateau)[:n]
+    return x, y + (0.25 * np.sin(np.arange(n) / 7.0) if levels > 1 else 0.0)
+
+
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(p in rest for p in part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4 * PLOT_W + 1, 12 * PLOT_W), seed=st.integers(0, 2**32 - 1),
+       tie=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       jump=st.sampled_from([0.0, 1e-3, 1e-2]), plateau=st.integers(1, 500),
+       levels=st.integers(1, 40), integer_x=st.booleans())
+@example(n=4 * PLOT_W + 1, seed=0, tie=0.0, jump=0.0, plateau=1, levels=40,
+         integer_x=False)
+def test_long_monotone_series_keep_their_m4_points(n, seed, tie, jump, plateau,
+                                                    levels, integer_x):
+    x, y = _monotone_series(n, seed, tie, jump, plateau, levels, integer_x)
+    series = [Series(x, y)]
+    with mock.patch.object(svgplot, "format_rows", wraps=tableio.format_rows) as fmt:
+        doc = render_svg(series, "x", "y")
+    kept = list(zip(*(a.tolist() for a in fmt.call_args.args[1])))
+    assert _polyline_points(doc) == [" ".join(f"{a:.3f},{b:.3f}" for a, b in kept)]
+    full = _scaled_per_point(series)[0]
+    # the kept points are points of the series, in order, at most 4 per column
+    assert len(kept) <= len(full) and _is_subsequence(kept, full)
+    columns = {}
+    for point in full:
+        columns.setdefault(math.floor(point[0]), [[], []])[0].append(point)
+    for point in kept:
+        columns[math.floor(point[0])][1].append(point)
+    # per pixel column floor(px): the same first, last, min-y and max-y
+    # pixel coordinates, so the same formatted points
+    for whole, part in columns.values():
+        assert 1 <= len(part) <= 4
+        assert part[0] == whole[0] and part[-1] == whole[-1]
+        for extreme in (min, max):
+            assert extreme(y for _, y in part) == extreme(y for _, y in whole)
+
+
+@pytest.mark.parametrize("n, order", [(4 * PLOT_W, "increasing"),
+                                      (4 * PLOT_W + 1, "decreasing"),
+                                      (4 * PLOT_W + 1, "one swap"),
+                                      (3 * tableio.BLOCK_ROWS, "one swap")])
+def test_short_or_non_monotone_series_keep_every_point(n, order):
+    x = np.linspace(0.0, 1.0, n)
+    if order == "decreasing":
+        x = x[::-1]
+    elif order == "one swap":
+        x[[n // 2, n // 2 + 1]] = x[[n // 2 + 1, n // 2]]
+    series = [Series(x, np.cos(40.0 * x), "a"), Series(x[:5], x[:5] ** 2)]
+    assert _polyline_points(render_svg(series, "x", "y")) == \
+        _polylines_per_point(series)
 
 
 def _ulps_from(base, k):
@@ -364,7 +436,7 @@ def test_svg_text_is_escaped(label, xlabel, ylabel, title):
 
 def test_svg_blocks_hold_one_block_of_points():
     n = 2 * tableio.BLOCK_ROWS + 1
-    x = np.linspace(0.0, 1.0, n)
+    x = np.linspace(1.0, 0.0, n)  # decreasing: every point is formatted
     series = [Series(x, np.cos(9.0 * x), "a")]
     blocks = list(svg_blocks(series, "x", "y"))
     doc = render_svg(series, "x", "y")
@@ -380,7 +452,9 @@ def test_streamed_svg_write_holds_no_whole_document(tmp_path, cpus):
     # at ~100 B/point
     n = 4 * tableio.BLOCK_ROWS + 1
     x = np.linspace(0.0, 1.0, n)
-    series = [Series(x, np.sin(40.0 * x) ** 2, "")]
+    # x decreasing: every point is formatted; then the same series M4-decimated
+    series = [Series(x[::-1], np.sin(40.0 * x) ** 2, ""),
+              Series(x, np.sin(40.0 * x) ** 2, "")]
     with _cpus(cpus):
         tracemalloc.start()
         try:
@@ -423,13 +497,16 @@ def _mixed_table(rows):
             "i": np.arange(rows, dtype=np.int64) - rows // 2, "k": np.arange(rows) % 3 == 0}
 
 
+def _svg_series(columns):
+    # x decreasing, so that no series is decimated and every point is formatted
+    return [Series(columns["z"][::-1], columns["f32"], "a"),
+            Series(columns["i"][::-1], columns["tiny"])]
+
+
 def _outputs(columns, path):
     # the CSV rendered and written, and the polylines of two series
     write_csv(path, columns)
-    doc = render_svg([Series(columns["z"], columns["f32"], "a"),
-                      Series(columns["i"], columns["tiny"])], "x", "y")
-    points = [line.split('points="')[1].split('"')[0]
-              for line in doc.splitlines() if line.startswith("<polyline")]
+    points = _polyline_points(render_svg(_svg_series(columns), "x", "y"))
     return render_csv(columns), path.read_bytes(), points
 
 
@@ -449,8 +526,7 @@ def test_pool_keeps_the_bytes(tmp_path, block):
         assert pool.call_count == 4
     reference = _csv_per_cell(columns)
     assert text == reference and raw == reference.encode("utf-8")
-    assert points == _polylines_per_point([Series(columns["z"], columns["f32"]),
-                                           Series(columns["i"], columns["tiny"])])
+    assert points == _polylines_per_point(_svg_series(columns))
     assert serial == (text, raw, points)
 
 
