@@ -11,19 +11,23 @@ iz = i*zeta_j and g = g_j:
 
     w = 1/(1 - iz*U);  r += iz*t^2*w;  t = g*t*w;  U = 1 + g^2*(U*w - 1).
 
-A single detuning takes a pairwise star tree, in log2 numpy calls, and
-periodic chains take star powers of the cell.  Field profiles take inclusive
-star scans by doubling from both ends (Hillis-Steele; Blelloch, "Prefix sums
-and their applications", 1990).  The public functions take and return 2x2
-transfer matrices on (E+, E-) amplitude pairs, shape (..., 2, 2) with grid
-axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A point
-layer is [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the
-diagonal phase exp(+-i k_z dz), so det M = 1.
+A chain of RUN_SLABS slabs or more is cut into RUNS runs of consecutive
+slabs that are scanned side by side, one numpy call per step for all runs,
+and the run amplitudes are then star-folded in order (a blocked scan:
+Blelloch, "Prefix sums and their applications", 1990).  A single detuning
+takes a pairwise star tree, in log2 numpy calls, and periodic chains take
+star powers of the cell.  Field profiles take inclusive star scans by
+doubling from both ends (Hillis-Steele; Blelloch).  The public functions
+take and return 2x2 transfer matrices on (E+, E-) amplitude pairs, shape
+(..., 2, 2) with grid axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t,
+M11 = t' - r*r'/t.  A point layer is [[1 + i*zeta, i*zeta], [-i*zeta,
+1 - i*zeta]] and a gap the diagonal phase exp(+-i k_z dz), so det M = 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -35,8 +39,17 @@ from .response import AtomResponseConfig, line_response, zeta_prefactor
 TransferMatrix = np.ndarray  # (..., 2, 2) complex
 
 # Grid elements of zeta per block of slabs in a grid scan: the (slab, grid)
-# array of a whole chain is never built.
-ZETA_BLOCK = 1 << 16
+# array of a whole chain is never built.  At 2^14 a block is one step of 8
+# runs over 1101 points (141 kB); 1 MB blocks (2^16) made the 12,600-slab
+# scan 7-11% slower.
+ZETA_BLOCK = 1 << 14
+# A grid scan of RUN_SLABS slabs or more runs RUNS runs of slabs side by side,
+# which saves RUNS - 1 of every RUNS numpy calls: a 12,600-slab scan over
+# 1101 points took ~0.7x the time of one run at 8 runs (2-vCPU VM), and
+# 4, 6, 12 or 16 runs were no faster.  Shorter chains keep one run and its
+# bits, the 613 flat slabs of verify's periodic-fast-path check among them.
+RUN_SLABS = 1024
+RUNS = 8
 # Field-profile samples per vectorized block: the default profile took the
 # same ~62 ms at 2^12..2^16 and ~100 ms at 2^18 and above (out of cache).
 PROFILE_BLOCK = 1 << 14
@@ -79,8 +92,10 @@ class SlabChain:
             raise ValueError("surface densities must be non-negative")
         if np.any(gp < 0.0):
             raise ValueError("gaps must be non-negative")
-        if self.periods < 1:
+        periods = require_int("periods", self.periods)
+        if periods < 1:
             raise ValueError("periods must be >= 1")
+        object.__setattr__(self, "periods", periods)
         for f, a in (("surface_density", sd), ("stark_shift", st), ("gap_after", gp)):
             object.__setattr__(self, f, a)
 
@@ -168,13 +183,21 @@ def require_finite(name: str, values) -> np.ndarray:
     return a
 
 
+def require_int(name: str, value) -> int:
+    """value as an int (numpy integers pass); a TypeError names `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer: {value!r}") from None
+
+
 def _star(a, b):
     """Redheffer star product of amplitudes a = (r, t, r', t') then b."""
     # each row straight into one array (np.stack would hold all four twice),
     # taken before the temporaries (after them, a 200k-point sweep peaked
     # ~1 MB higher); assigned, not computed in place, which changes bits
     # (see _scan)
-    out = np.empty((4,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+    out = np.empty((4,) + np.broadcast_shapes(np.shape(a[0]), np.shape(b[0])),
                    dtype=complex)
     r1, t1, p1, u1 = a
     r2, t2, p2, u2 = b
@@ -227,32 +250,61 @@ def matrix_power(m: TransferMatrix, n: int) -> TransferMatrix:
         base = _star(base, base)
 
 
-def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig):
-    """zeta of slab j at detuning delta - stark_shift_j, in (slabs,) + grid
-    blocks of at most ZETA_BLOCK elements (one slab at least).  The line sum
-    is evaluated once per distinct Stark shift and scaled by each slab's
+def _run_order(n_slabs: int, runs: int) -> np.ndarray:
+    """Slab indices, step by step, of `runs` runs of consecutive slabs side by
+    side: step i holds slab i of every run still that long.  The first
+    n_slabs % runs runs take one slab more; no run is padded."""
+    step, run = np.divmod(np.arange(n_slabs), runs)
+    return run * (n_slabs // runs) + np.minimum(run, n_slabs % runs) + step
+
+
+def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
+                 order=None, runs: int = 1):
+    """zeta of slab j at detuning delta - stark_shift_j, slab by slab in
+    `order` (first to last by default; the _run_order of `runs` runs in a
+    scan), in (slabs,) + grid blocks of whole steps of `runs` slabs and at
+    most ZETA_BLOCK elements (one step at least).  The line sum is evaluated
+    once per distinct Stark shift and scaled by each slab's
     -surface_density * prefactor: the bits of zeta over the broadcast."""
     col = (-1,) + (1,) * delta.ndim
     shifts, row = np.unique(chain.stark_shift, return_inverse=True)
     lines = line_response(delta - shifts.reshape(col), cfg)
     scale = -chain.surface_density.reshape(col) * zeta_prefactor(cfg)
-    width = max(1, ZETA_BLOCK // max(1, delta.size))
-    for j0 in range(0, chain.n_slabs, width):
+    if order is not None:
+        row, scale = row[order], scale[order]
+    width = runs * max(1, ZETA_BLOCK // max(1, runs * delta.size))
+    for j0 in range(0, row.size, width):
         zs = lines[row[j0:j0 + width]]
         zs *= scale[j0:j0 + width]
         yield zs
 
 
 def _scan(chain, delta, cfg, g):
-    """(r, t, r', t') of the chain over a grid, slab by slab.  No product is
-    written in place: numpy's in-place complex product takes another loop on
-    one-element arrays, whose bits differ in the last place."""
-    r, w, a, b = (np.zeros(delta.shape, dtype=complex) for _ in range(4))
-    t, u = np.ones(delta.shape, dtype=complex), np.ones(delta.shape, dtype=complex)
+    """(r, t, r', t') of the chain over a grid.  Chains of RUN_SLABS slabs or
+    more are cut into RUNS runs of consecutive slabs, scanned side by side,
+    slab by slab, on (runs,) + grid arrays, and the run amplitudes are
+    star-folded, first run first; shorter chains are one run.  The number of
+    runs depends on the slab count only, so grid slices carry the bits of the
+    whole grid.  No product is written in place: numpy's in-place complex
+    product takes another loop on one-element arrays, whose bits differ in
+    the last place.  The state is six separate arrays: as one (6, runs, ...)
+    block a wide-grid pass peaked ~1.3 MB higher."""
+    runs = RUNS if chain.n_slabs >= RUN_SLABS else 1
+    shape = (runs,) + delta.shape
+    state = views = (*(np.zeros(shape, dtype=complex) for _ in range(4)),
+                     *(np.ones(shape, dtype=complex) for _ in range(2)))
+    order = _run_order(chain.n_slabs, runs)
+    g = g[order].reshape((-1,) + (1,) * delta.ndim)
     g2 = g * g
     j = 0
-    for zs in _zeta_blocks(chain, delta, cfg):
-        for iz in 1j * zs:
+    for zs in _zeta_blocks(chain, delta, cfg, order, runs):
+        izs = 1j * zs
+        for s in range(0, len(izs), runs):
+            iz = izs[s:s + runs]
+            m = len(iz)
+            if m < runs:  # the last step: the runs that reach it
+                views = tuple(x[:m] for x in state)
+            r, w, a, b, t, u = views
             np.multiply(iz, u, out=w)  # w = 1 / (1 - iz U), U = 1 + r'
             np.subtract(1.0, w, out=w)
             np.divide(1.0, w, out=w)
@@ -260,13 +312,18 @@ def _scan(chain, delta, cfg, g):
             np.multiply(iz, t, out=b)  # r += iz t^2 w
             np.multiply(b, a, out=t)
             r += t
-            np.multiply(a, g[j], out=t)  # t = g t w
+            np.multiply(a, g[j:j + m], out=t)  # t = g t w
             np.multiply(u, w, out=b)  # U = 1 + g^2 (U w - 1)
             b -= 1.0
-            np.multiply(b, g2[j], out=u)
+            np.multiply(b, g2[j:j + m], out=u)
             u += 1.0
-            j += 1
-    return r, t, u - 1.0, t  # U = 1 + r'
+            j += m
+    r, w, a, b, t, u = state
+    rp = u - 1.0
+    out = r[0], t[0], rp[0], t[0]
+    for k in range(1, runs):
+        out = _star(out, (r[k], t[k], rp[k], t[k]))
+    return out
 
 
 def _slabs(chain, delta, cfg, g):
@@ -303,9 +360,10 @@ def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
     """Transfer matrix of one period of the chain, layer then gap per slab.
 
     `delta_brg` may be a scalar or a grid; grid axes lead the 2x2 axes of the
-    result.  A grid is scanned slab by slab, elementwise, so grid slices
-    carry the bits of the whole grid; a scalar detuning takes the pairwise
-    star tree.
+    result.  A grid is scanned slab by slab, elementwise, in runs whose
+    number depends on the slab count only (see _scan), so grid slices carry
+    the bits of the whole grid; a scalar detuning takes the pairwise star
+    tree.
     """
     delta = require_finite("delta_brg", delta_brg)
     if chain.n_slabs == 0:
@@ -376,6 +434,7 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
     stays bounded however opaque the chain.  The samples inside the gaps are
     then filled in vectorized blocks of slabs.
     """
+    samples_per_gap = require_int("samples_per_gap", samples_per_gap)
     if samples_per_gap < 2:
         raise ValueError("samples_per_gap must be >= 2")
     delta = require_finite("delta_brg", float(delta_brg))

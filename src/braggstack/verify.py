@@ -41,7 +41,8 @@ def check_oracle_agreement(n_chains=500, tol=1e-10, seed=DEFAULT_SEED):
     """Chain amplitudes vs boundary-value solver on randomized chains.
 
     Each detuning is taken as a scalar (pairwise star tree) and as a
-    one-point grid (slab-by-slab scan); the worst of both is reported.
+    one-point grid (slab scan, one run on these short chains); the worst of
+    both is reported.
     """
     rng = np.random.default_rng(seed)
     geom = bragg_matched_geometry()
@@ -79,8 +80,8 @@ def check_long_chain(n_slabs=10_000, tol=1e-10, seed=DEFAULT_SEED):
     """A random 10^4-slab chain at one detuning, computed three ways.
 
     The scalar detuning takes the pairwise star tree and the one-point grid
-    the slab-by-slab scan; both must match the boundary-value oracle, and
-    the mirrored chain must give the same T.
+    the slab scan in runs of slabs, star-folded in order; both must match
+    the boundary-value oracle, and the mirrored chain must give the same T.
     """
     rng = np.random.default_rng(seed + 1)
     geom = bragg_matched_geometry()
@@ -169,7 +170,7 @@ def check_thin_grating(tol=0.01):
 
 
 def check_power_path(tol=1e-10):
-    """Star powers of the cell agree with the flat chain's slab-by-slab scan."""
+    """Star powers of the cell agree with the flat chain's scan in runs."""
     geom = bragg_matched_geometry()
     cfg = default_config()
     chain = SlabChain([1.215e11], [0.0], [geom.lambda_dip / 2.0], periods=613)

@@ -53,8 +53,8 @@ def test_03_engine_exactness(cfg, geom):
                        abs(res.r - 1j * z / (1 - 1j * z)),
                        abs(res.t - 1 / (1 - 1j * z)))
     # on a 10^4-slab chain: det = 1 to 1e-9, and the star tree (scalar
-    # detuning), the slab-by-slab scan (one-point grid), the boundary-value
-    # oracle and the mirrored chain's T agree to 1e-10
+    # detuning), the slab scan in runs of slabs (one-point grid), the
+    # boundary-value oracle and the mirrored chain's T agree to 1e-10
     rng = np.random.default_rng(17)
     n = 10_000
     chain = bs.SlabChain(rng.uniform(0, 2e9, n),

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.engine import ZETA_BLOCK, _star, _zeta_blocks
+from braggstack.engine import RUN_SLABS, RUNS, ZETA_BLOCK, _run_order, _star, \
+    _zeta_blocks
 
 
 def make_random_chain(rng, max_slabs=20, gamma=bs.GAMMA_RB85_D2):
@@ -196,6 +197,20 @@ def test_field_profile_requires_two_samples(cfg, geom):
         bs.field_profile(chain, 0.0, 1, cfg, geom)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(3.0), "3"])
+def test_integer_inputs_reject_non_integers_by_name(cfg, geom, bad):
+    # numpy integers pass; anything else names the input instead of failing
+    # later inside the engine
+    with pytest.raises(TypeError, match=r"^periods must be an integer: "):
+        bs.SlabChain([1.0], [0.0], [0.0], periods=bad)
+    chain = bs.SlabChain([3e11], [0.0], [geom.lambda_dip / 2], periods=np.int64(3))
+    assert type(chain.periods) is int and chain.periods == 3
+    with pytest.raises(TypeError, match=r"^samples_per_gap must be an integer: "):
+        bs.field_profile(chain, 0.0, bad, cfg, geom)
+    z, _ = bs.field_profile(chain, 0.0, np.int32(3), cfg, geom)
+    assert z.size == 1 + 3 * 3
+
+
 @pytest.mark.parametrize("chain, delta, intensity", [
     (bs.SlabChain(np.zeros(0), np.zeros(0), np.zeros(0)), 0.0, 1.0),
     (bs.SlabChain([1e12], [0.0], [0.0], periods=3), 0.0, 0.6101565076132991),
@@ -335,7 +350,7 @@ def _slab_zetas(chain, delta, cfg):
 def test_slab_zetas_equal_broadcast_zeta_bitwise(cfg, geom):
     # one line-sum call over the distinct Stark shifts, same bits as zeta
     # over the (slab, grid) broadcast and, on a grid, as per-slab calls;
-    # the 1101-point grid comes in blocks of 59 slabs
+    # the 1101-point grid comes in blocks of 14 slabs
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
     two = bs.two_component_lattice(3e17, 0.2, 4, 20, geom).repeated()
@@ -351,6 +366,30 @@ def test_slab_zetas_equal_broadcast_zeta_bitwise(cfg, geom):
         per_slab = np.stack([bs.zeta(sd, grid - st, cfg) for sd, st in
                              zip(chain.surface_density, chain.stark_shift)])
         assert _slab_zetas(chain, grid, cfg).tobytes() == per_slab.tobytes()
+
+
+@pytest.mark.parametrize("n", [RUN_SLABS, RUN_SLABS + 1, RUN_SLABS + RUNS - 1])
+def test_run_order_zetas_equal_broadcast_zeta_bitwise(cfg, geom, n):
+    # the run scan's slab order: step by step, slab i of every run still that
+    # long, runs of consecutive slabs, the first ones one slab longer; its
+    # zeta blocks hold whole steps and carry the bits of the broadcast
+    order = _run_order(n, RUNS)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    runs = np.array_split(np.arange(n), RUNS)
+    steps = [[run[i] for run in runs if i < run.size]
+             for i in range(runs[0].size)]
+    assert order.tolist() == [j for step in steps for j in step]
+    rng = np.random.default_rng(n)
+    chain = bs.SlabChain(rng.uniform(0.0, 3e11, n),
+                         rng.choice([-2.0, 0.0, 3.0], n) * cfg.gamma,
+                         rng.uniform(0.0, 1.5e-6, n))
+    for delta in (bs.detuning_grid() * cfg.gamma, np.array([0.7 * cfg.gamma])):
+        blocks = list(_zeta_blocks(chain, delta, cfg, order, RUNS))
+        assert all(len(b) % RUNS == 0 for b in blocks[:-1])
+        assert all(b.size <= max(ZETA_BLOCK, RUNS * delta.size) for b in blocks)
+        want = bs.zeta(chain.surface_density[:, None],
+                       delta - chain.stark_shift[:, None], cfg)[order]
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def _star_scan(chain, delta, cfg, geom):
@@ -398,6 +437,64 @@ def test_unit_cell_matrix_on_grids_is_sequential_fold_bitwise(cfg, geom):
             assert np.max(np.abs(got - m)) <= 1e-12 * np.max(np.abs(m))
 
 
+def _random_flat_chain(rng, n, gamma):
+    return bs.SlabChain(rng.uniform(0.0, 3e11, n), rng.uniform(-5.0, 5.0, n) * gamma,
+                        rng.uniform(0.0, 1.5e-6, n))
+
+
+def _check_run_scan(chain, delta, cfg, geom, oracle_points):
+    """unit_cell_matrix on a grid against the written-out scan (bitwise below
+    RUN_SLABS, where the scan is one run; to rounding from there on, where
+    run amplitudes are star-folded) and at `oracle_points` against the
+    boundary-value oracle."""
+    got = bs.unit_cell_matrix(chain, delta, cfg, geom)
+    want = _star_scan(chain, delta, cfg, geom)
+    if chain.n_slabs < RUN_SLABS:
+        assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    res = bs.scatter(got)
+    for i in oracle_points:
+        r_o, t_o = bs.solve_boundary_value(chain, delta[i], cfg, geom)
+        assert abs(res.r[i] - r_o) < 1e-10 and abs(res.t[i] - t_o) < 1e-10
+
+
+@pytest.mark.parametrize("n", [RUN_SLABS - 1, RUN_SLABS, RUN_SLABS + 1,
+                               RUN_SLABS + RUNS - 1])
+def test_run_scan_matches_written_out_scan_and_oracle(cfg, geom, n):
+    # one run below the threshold, RUNS runs (even or uneven) from it on
+    rng = np.random.default_rng(n)
+    chain = _random_flat_chain(rng, n, cfg.gamma)
+    _check_run_scan(chain, bs.detuning_grid() * cfg.gamma, cfg, geom,
+                    range(0, 1101, 100))
+    _check_run_scan(chain, np.array([0.7 * cfg.gamma]), cfg, geom, [0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.integers(RUN_SLABS - 3, RUN_SLABS + 2 * RUNS),
+       deltas=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=3))
+def test_run_scan_over_random_passive_chains(cfg, geom, seed, n, deltas):
+    chain = _random_flat_chain(np.random.default_rng(seed), n, cfg.gamma)
+    delta = np.array(deltas) * cfg.gamma
+    _check_run_scan(chain, delta, cfg, geom, range(delta.size))
+
+
+def test_run_count_never_depends_on_the_grid(cfg, geom):
+    # a chain scanned in runs, swept in grid slices, has the bits of the
+    # whole-grid chain matrix: flat, and periodic with a long cell
+    rng = np.random.default_rng(7)
+    cell = _random_flat_chain(rng, RUN_SLABS + 3, cfg.gamma)
+    periodic = bs.SlabChain(cell.surface_density, cell.stark_shift,
+                            cell.gap_after, periods=3)
+    delta = bs.detuning_grid(-8, 8, 23) * cfg.gamma
+    for chain in (cell, periodic):
+        whole = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
+        with mock.patch.object(bs.experiments, "GRID_CHUNK", 5):
+            swept = bs.sweep_scatter(chain, delta, cfg, geom)
+        for f in ("r", "t", "big_r", "big_t", "big_a", "phi"):
+            assert getattr(swept, f).tobytes() == getattr(whole, f).tobytes()
+
+
 def _disordered_flat_chain(rng, geom):
     base = bs.two_component_lattice(3e17, 0.2, 900, 10, geom).repeated()
     return bs.SlabChain(base.surface_density * rng.uniform(0.7, 1.3, base.n_slabs),
@@ -406,7 +503,7 @@ def _disordered_flat_chain(rng, geom):
 
 def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom):
     # one detuning over 9,900 disordered slabs takes the pairwise star tree;
-    # the same detuning as a one-point grid takes the slab-by-slab scan
+    # the same detuning as a one-point grid takes the slab scan in runs
     rng = np.random.default_rng(2024)
     for delta in rng.uniform(-3, 3, 3) * cfg.gamma:
         chain = _disordered_flat_chain(rng, geom)
