@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, render_svg, write_svg
-from braggstack.tableio import write_spectrum_csv
+from braggstack.svgplot import Series, svg_blocks
+from braggstack.tableio import write_blocks, write_spectrum_csv
 
 out = Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
@@ -33,7 +33,7 @@ chain = bs.two_component_lattice(3e17, 0.2, 600, 10, geom)
 table = bs.spectrum(chain, grid, cfg, geom, metadata={"label": "n=3e11 cm^-3"})
 write_spectrum_csv(table, out / "spectrum.csv")
 
-write_svg(out / "spectrum_rta.svg", render_svg(
+write_blocks(out / "spectrum_rta.svg", svg_blocks(
     [Series(grid, table.R, "R"),
      Series(grid, table.T, "T"),
      Series(grid, table.A, "A")],
@@ -48,7 +48,7 @@ for n_cm3 in (3e9, 3e10, 1e11, 3e11):
     families.append(bs.spectrum(chain, grid, cfg, geom,
                                 metadata={"label": f"n={n_cm3:.0e} cm^-3"}))
 
-write_svg(out / "spectrum_density_family.svg", render_svg(
+write_blocks(out / "spectrum_density_family.svg", svg_blocks(
     [Series(t.delta_over_gamma, t.R, t.metadata["label"]) for t in families],
     "delta / Gamma", "R"))
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, render_svg, write_svg
+from braggstack.svgplot import Series, svg_blocks
+from braggstack.tableio import write_blocks
 
 out = Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
@@ -31,11 +32,11 @@ for n_s in (50, 200, 600, 2000):
     res = bs.sweep_scatter(chain, grid * cfg.gamma, cfg, geom)
     tables.append((n_s, res))
 
-write_svg(out / "thick_grating_reflection.svg", render_svg(
+write_blocks(out / "thick_grating_reflection.svg", svg_blocks(
     [Series(grid, res.big_r, f"N_s={n_s}") for n_s, res in tables],
     "delta / Gamma", "R"))
 
-write_svg(out / "thick_grating_absorption.svg", render_svg(
+write_blocks(out / "thick_grating_absorption.svg", svg_blocks(
     [Series(grid, res.big_a, f"N_s={n_s}") for n_s, res in tables],
     "delta / Gamma", "A"))
 

@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, render_svg, write_svg
-from braggstack.tableio import write_csv
+from braggstack.svgplot import Series, svg_blocks
+from braggstack.tableio import write_blocks, write_csv
 
 out = Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
@@ -38,11 +38,11 @@ rho = bs.density_of_states(eps, theta)
 write_csv(out / "bands_lossless.csv",
           {"cell_phase_offset": eps, "re_theta": theta.real,
            "im_theta": theta.imag, "dos": rho})
-write_svg(out / "bands_lossless.svg", render_svg(
+write_blocks(out / "bands_lossless.svg", svg_blocks(
     [Series(eps, theta.real, "Re theta"),
      Series(eps, 10 * theta.imag, "10 x Im theta")],
     "gap phase - pi", "Bloch phase (rad)"))
-write_svg(out / "dos_lossless.svg", render_svg(
+write_blocks(out / "dos_lossless.svg", svg_blocks(
     [Series(eps, rho, "DOS")], "gap phase - pi", "|d Re theta / d eps|"))
 ingap = theta.imag > 1e-9
 print(f"stop band spans eps in [{eps[ingap].min():.4f}, {eps[ingap].max():.4f}]"
@@ -58,7 +58,7 @@ grid = bs.detuning_grid(-10, 10, 401)
 chain = bs.perfect_lattice(3e17, 1, geom.with_lattice_mismatch(0.8e-9))
 theta_p, _ = bs.band_structure(chain, grid, cfg,
                                geom.with_lattice_mismatch(0.8e-9))
-write_svg(out / "bands_physical.svg", render_svg(
+write_blocks(out / "bands_physical.svg", svg_blocks(
     [Series(grid, theta_p.real, "Re theta"),
      Series(grid, theta_p.imag, "Im theta")],
     "delta / Gamma", "Bloch phase (rad)"))

@@ -52,6 +52,10 @@ def _scan_lattice(run):
 
 
 def _scan_atoms(run):
+    # saturation_scan builds the two-component model at every atom number
+    if run.model.kind != "two_component":
+        raise ConfigError(f"scan-atoms needs [model] kind = two_component, "
+                          f"got kind = {run.model.kind}")
     numbers, max_r = saturation_scan(
         run.scan.atom_numbers(), run.geometry, run.response,
         n_s=run.model.n_s, f_dw=run.model.f_dw, n_ss=run.model.n_ss,

@@ -12,16 +12,17 @@ iz = i*zeta_j and g = g_j:
     w = 1/(1 - iz*U);  r += iz*t^2*w;  t = g*t*w;  U = 1 + g^2*(U*w - 1).
 
 A chain of RUN_SLABS slabs or more is cut into RUNS runs of consecutive
-slabs that are scanned side by side, one numpy call per step for all runs,
-and the run amplitudes are then star-folded in order (a blocked scan:
-Blelloch, "Prefix sums and their applications", 1990).  A single detuning
-takes a pairwise star tree, in log2 numpy calls, and periodic chains take
-star powers of the cell.  Field profiles take inclusive star scans by
-doubling from both ends (Hillis-Steele; Blelloch).  The public functions
-take and return 2x2 transfer matrices on (E+, E-) amplitude pairs, shape
-(..., 2, 2) with grid axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t,
-M11 = t' - r*r'/t.  A point layer is [[1 + i*zeta, i*zeta], [-i*zeta,
-1 - i*zeta]] and a gap the diagonal phase exp(+-i k_z dz), so det M = 1.
+slabs that are scanned side by side, one numpy call per step for all runs.
+One pairwise star fold then combines the parts of the chain: the run
+amplitudes of a scan (a blocked scan: Blelloch, "Prefix sums and their
+applications", 1990) or, at a single detuning, the closed-form slab
+amplitudes, in log2 numpy calls.  Periodic chains take star powers of the
+cell.  Field profiles take inclusive star scans by doubling from both ends
+(Hillis-Steele; Blelloch).  The public functions take and return 2x2
+transfer matrices on (E+, E-) amplitude pairs, shape (..., 2, 2) with grid
+axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A
+point layer is [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the
+diagonal phase exp(+-i k_z dz), so det M = 1.
 """
 
 from __future__ import annotations
@@ -280,15 +281,15 @@ def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
 
 
 def _scan(chain, delta, cfg, g):
-    """(r, t, r', t') of the chain over a grid.  Chains of RUN_SLABS slabs or
-    more are cut into RUNS runs of consecutive slabs, scanned side by side,
-    slab by slab, on (runs,) + grid arrays, and the run amplitudes are
-    star-folded, first run first; shorter chains are one run.  The number of
-    runs depends on the slab count only, so grid slices carry the bits of the
-    whole grid.  No product is written in place: numpy's in-place complex
-    product takes another loop on one-element arrays, whose bits differ in
-    the last place.  The state is six separate arrays: as one (6, runs, ...)
-    block a wide-grid pass peaked ~1.3 MB higher."""
+    """(r, t, r', t') of every run of the chain over a grid, (runs,) + grid
+    each, for _fold.  Chains of RUN_SLABS slabs or more are cut into RUNS runs
+    of consecutive slabs, scanned side by side, slab by slab; shorter chains
+    are one run.  The number of runs depends on the slab count only, so grid
+    slices carry the bits of the whole grid.  No product is written in place:
+    numpy's in-place complex product takes another loop on one-element
+    arrays, whose bits differ in the last place.  The state is six separate
+    arrays: as one (6, runs, ...) block a wide-grid pass peaked ~1.3 MB
+    higher."""
     runs = RUNS if chain.n_slabs >= RUN_SLABS else 1
     shape = (runs,) + delta.shape
     state = views = (*(np.zeros(shape, dtype=complex) for _ in range(4)),
@@ -319,11 +320,7 @@ def _scan(chain, delta, cfg, g):
             u += 1.0
             j += m
     r, w, a, b, t, u = state
-    rp = u - 1.0
-    out = r[0], t[0], rp[0], t[0]
-    for k in range(1, runs):
-        out = _star(out, (r[k], t[k], rp[k], t[k]))
-    return out
+    return r, t, u - 1.0, t
 
 
 def _slabs(chain, delta, cfg, g):
@@ -333,16 +330,16 @@ def _slabs(chain, delta, cfg, g):
     return np.stack((iz * q, g * q, iz * (g * g) * q, g * q))
 
 
-def _tree(chain, delta, cfg, g):
-    """(r, t, r', t') of the chain at one detuning: the closed-form slab
-    amplitudes reduced pairwise by star products, left factor first."""
-    s = _slabs(chain, delta, cfg, g)
-    while s.shape[1] > 1:
-        even = s.shape[1] - s.shape[1] % 2
-        pairs = _star(s[:, 0:even:2], s[:, 1:even:2])
-        s = pairs if even == s.shape[1] else \
-            np.concatenate([pairs, s[:, even:]], axis=1)
-    return s[:, 0]
+def _fold(s):
+    """Star product of the parts of s = (r, t, r', t'), parts along the first
+    axis of each row, reduced pairwise, left factor first.  One part comes
+    back as views of its rows."""
+    while (n := len(s[0])) > 1:
+        even = n - n % 2
+        pairs = _star([x[0:even:2] for x in s], [x[1:even:2] for x in s])
+        s = pairs if even == n else \
+            np.concatenate([pairs, [x[even:] for x in s]], axis=1)
+    return [x[0] for x in s]
 
 
 def _prefixes(s):
@@ -362,14 +359,14 @@ def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
     `delta_brg` may be a scalar or a grid; grid axes lead the 2x2 axes of the
     result.  A grid is scanned slab by slab, elementwise, in runs whose
     number depends on the slab count only (see _scan), so grid slices carry
-    the bits of the whole grid; a scalar detuning takes the pairwise star
-    tree.
+    the bits of the whole grid; a scalar detuning takes the closed-form slab
+    amplitudes.  Either set of parts is then star-folded pairwise (_fold).
     """
     delta = require_finite("delta_brg", delta_brg)
     if chain.n_slabs == 0:
         return identity_matrix(delta.shape)
     g = np.exp(1j * (geom.k_brg * chain.gap_after * math.cos(geom.beta_i)))
-    return _transfer(*(_scan if delta.ndim else _tree)(chain, delta, cfg, g))
+    return _transfer(*_fold((_scan if delta.ndim else _slabs)(chain, delta, cfg, g)))
 
 
 def chain_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -97,7 +96,6 @@ def spectrum(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
     res = sweep_scatter(chain, grid * cfg.gamma, cfg, geom)
     meta = {
         "engine_version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "n_slabs_per_period": str(chain.n_slabs),
         "periods": str(chain.periods),
         "lambda_dip_nm": f"{geom.lambda_dip * 1e9:.6f}",

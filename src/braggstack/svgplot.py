@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tableio import format_rows, write_blocks
+from .tableio import format_rows
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 36, 52
@@ -166,17 +166,12 @@ def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
     return "".join(svg_blocks(series, xlabel, ylabel, title))
 
 
-def spectrum_series(tables, column: str = "R"):
-    """One Series per table, labeled from metadata."""
+def spectrum_series(tables):
+    """One R Series per table, labeled from metadata."""
     out = []
     for i, t in enumerate(tables):
         label = t.metadata.get("label", "") if t.metadata else ""
         if not label and len(tables) > 1:
             label = f"run {i}"
-        out.append(Series(t.delta_over_gamma, getattr(t, column), label))
+        out.append(Series(t.delta_over_gamma, t.R, label))
     return out
-
-
-def write_svg(path, svg_text: str) -> None:
-    """svg_text to a file, through write_blocks, which closes what it writes."""
-    write_blocks(path, (block for block in [svg_text]))

@@ -1,8 +1,7 @@
 """CSV serialization of result tables.
 
 17 significant digits, '\n' line endings and sorted `# key = value` metadata
-lines make the files byte-stable across runs and round-trip exact; volatile
-metadata (timestamps) is kept in memory but never written.
+lines make the files byte-stable across runs and round-trip exact.
 
 format_rows formats the rows, and svgplot's polyline points, in blocks of
 BLOCK_ROWS.  More than one block on more than one usable CPU goes to a fork
@@ -25,7 +24,6 @@ import numpy as np
 from .experiments import SpectrumTable
 
 SPECTRUM_COLUMNS = ("delta_over_gamma", "R", "T", "A", "phi_rad")
-VOLATILE_KEYS = frozenset({"created"})
 BLOCK_ROWS = 1 << 15  # rows per formatted text block (~2 MB of text)
 _HEADER = re.compile(r"^([^#\n].*)\n", re.M)  # the first row not blank or "#"
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
@@ -85,8 +83,7 @@ def _blocks(columns: dict, metadata: dict | None):
         if np.iscomplexobj(a):
             raise TypeError(f"column {name!r} is complex; write its real "
                             f"and imaginary parts as two columns")
-    head = [f"# {key} = {metadata[key]}\n" for key in sorted(metadata or {})
-            if key not in VOLATILE_KEYS]
+    head = [f"# {key} = {metadata[key]}\n" for key in sorted(metadata or {})]
     head.append(",".join(names) + "\n")
     row = ",".join(["%.17g"] * len(arrays)) + "\n"
 

@@ -40,9 +40,9 @@ def _random_chain(rng, max_slabs=20):
 def check_oracle_agreement(n_chains=500, tol=1e-10, seed=DEFAULT_SEED):
     """Chain amplitudes vs boundary-value solver on randomized chains.
 
-    Each detuning is taken as a scalar (pairwise star tree) and as a
-    one-point grid (slab scan, one run on these short chains); the worst of
-    both is reported.
+    Each detuning is taken as a scalar (closed-form slabs, star-folded
+    pairwise) and as a one-point grid (slab scan, one run on these short
+    chains); the worst of both is reported.
     """
     rng = np.random.default_rng(seed)
     geom = bragg_matched_geometry()
@@ -79,9 +79,10 @@ def check_single_slab_closed_form(tol=1e-12):
 def check_long_chain(n_slabs=10_000, tol=1e-10, seed=DEFAULT_SEED):
     """A random 10^4-slab chain at one detuning, computed three ways.
 
-    The scalar detuning takes the pairwise star tree and the one-point grid
-    the slab scan in runs of slabs, star-folded in order; both must match
-    the boundary-value oracle, and the mirrored chain must give the same T.
+    The scalar detuning star-folds the closed-form slabs pairwise (a tree)
+    and the one-point grid the slab scan's runs of slabs, in the same
+    pairwise fold; both must match the boundary-value oracle, and the
+    mirrored chain must give the same T.
     """
     rng = np.random.default_rng(seed + 1)
     geom = bragg_matched_geometry()

@@ -81,6 +81,21 @@ def test_scan_atoms_command(tmp_path, config_path):
     assert np.all(np.diff(cols["max_R"]) > 0)
 
 
+@pytest.mark.parametrize("kind", ["perfect", "sequential"])
+def test_scan_atoms_refuses_other_model_kinds(tmp_path, capsys, kind):
+    # the saturation scan builds the two-component model whatever the
+    # config names: another kind is an error, not a silently ignored setting
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST_CONFIG.replace("kind = two_component", f"kind = {kind}"),
+                    encoding="utf-8")
+    out = tmp_path / "sat"
+    assert main(["scan-atoms", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: scan-atoms needs [model] kind = "
+                   f"two_component, got kind = {kind}\n")
+    assert not list(out.glob("*"))
+
+
 def test_profile_command(tmp_path, config_path):
     out = tmp_path / "prof"
     assert main(["profile", "--config", str(config_path),

@@ -11,11 +11,37 @@ from braggstack.engine import RUN_SLABS, RUNS, ZETA_BLOCK, _run_order, _star, \
     _zeta_blocks
 
 
+def _random_flat_chain(rng, n, gamma=bs.GAMMA_RB85_D2):
+    return bs.SlabChain(rng.uniform(0.0, 3e11, n), rng.uniform(-5.0, 5.0, n) * gamma,
+                        rng.uniform(0.0, 1.5e-6, n))
+
+
 def make_random_chain(rng, max_slabs=20, gamma=bs.GAMMA_RB85_D2):
-    n = int(rng.integers(1, max_slabs + 1))
-    return bs.SlabChain(rng.uniform(0, 3e11, n),
-                        rng.uniform(-5, 5, n) * gamma,
-                        rng.uniform(0, 1.5e-6, n))
+    return _random_flat_chain(rng, int(rng.integers(1, max_slabs + 1)), gamma)
+
+
+_slab_values = st.tuples(st.floats(0.0, 3e11), st.floats(-5.0, 5.0),
+                         st.floats(0.0, 1.5e-6))
+
+
+def _periodic_chain(slabs, periods, gamma=bs.GAMMA_RB85_D2):
+    sd, shift, gap = (np.array(v) for v in zip(*slabs))
+    return bs.SlabChain(sd, shift * gamma, gap, periods=periods)
+
+
+# flat chains from thin to past RUN_SLABS (one run, then RUNS runs), and
+# periodic cells of 1-4 slabs over 1-400 periods, thin to opaque
+_chains = st.one_of(
+    st.builds(lambda seed, n: _random_flat_chain(np.random.default_rng(seed), n),
+              st.integers(0, 2**32 - 1),
+              st.one_of(st.integers(1, 20),
+                        st.integers(RUN_SLABS - 2, RUN_SLABS + 2 * RUNS))),
+    st.builds(_periodic_chain, st.lists(_slab_values, min_size=1, max_size=4),
+              st.integers(1, 400)))
+# a scalar detuning or a 1-4-point grid, in linewidths
+_detunings = st.one_of(st.floats(-12.0, 12.0),
+                       st.lists(st.floats(-12.0, 12.0), min_size=1,
+                                max_size=4).map(np.array))
 
 
 def test_layer_matrix_transcription():
@@ -118,25 +144,27 @@ def test_lossless_real_zeta_chain(geom):
     assert abs(res.big_r + res.big_t - 1.0) < 1e-12
 
 
-def test_passivity_random_chains(cfg, geom):
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        chain = make_random_chain(rng)
-        res = bs.scatter(bs.chain_matrix(chain, rng.uniform(-10, 10, 11) * cfg.gamma,
-                                         cfg, geom))
-        assert np.all(res.big_r <= 1 + 1e-12)
-        assert np.all(res.big_t <= 1 + 1e-12)
-        assert np.all(res.big_a >= -1e-9)
+@settings(max_examples=60, deadline=None)
+@given(chain=_chains, delta=_detunings)
+def test_passivity_random_chains(cfg, geom, chain, delta):
+    # a scalar detuning (closed-form slabs) and its one-point grid (the slab
+    # scan) are folded from different parts: they agree to rounding
+    res = bs.scatter(bs.chain_matrix(chain, delta * cfg.gamma, cfg, geom))
+    assert np.all(res.big_r <= 1 + 1e-12)
+    assert np.all(res.big_t <= 1 + 1e-12)
+    assert np.all(res.big_a >= -1e-9)
+    if np.ndim(delta) == 0:
+        grid = bs.scatter(bs.chain_matrix(chain, np.array([delta * cfg.gamma]),
+                                          cfg, geom))
+        assert abs(res.r - grid.r[0]) <= 1e-10 and abs(res.t - grid.t[0]) <= 1e-10
 
 
-def test_mirrored_chain_preserves_transmission(cfg, geom):
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        chain = make_random_chain(rng)
-        delta = rng.uniform(-8, 8) * cfg.gamma
-        a = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
-        b = bs.scatter(bs.chain_matrix(chain.mirrored(), delta, cfg, geom))
-        assert abs(a.big_t - b.big_t) < 1e-10
+@settings(max_examples=60, deadline=None)
+@given(chain=_chains, delta=_detunings)
+def test_mirrored_chain_preserves_transmission(cfg, geom, chain, delta):
+    a = bs.scatter(bs.chain_matrix(chain, delta * cfg.gamma, cfg, geom))
+    b = bs.scatter(bs.chain_matrix(chain.mirrored(), delta * cfg.gamma, cfg, geom))
+    assert np.all(np.abs(a.big_t - b.big_t) <= 1e-10)
 
 
 def test_mirror_symmetric_detuning_of_lattice_constant(cfg1, geom):
@@ -437,11 +465,6 @@ def test_unit_cell_matrix_on_grids_is_sequential_fold_bitwise(cfg, geom):
             assert np.max(np.abs(got - m)) <= 1e-12 * np.max(np.abs(m))
 
 
-def _random_flat_chain(rng, n, gamma):
-    return bs.SlabChain(rng.uniform(0.0, 3e11, n), rng.uniform(-5.0, 5.0, n) * gamma,
-                        rng.uniform(0.0, 1.5e-6, n))
-
-
 def _check_run_scan(chain, delta, cfg, geom, oracle_points):
     """unit_cell_matrix on a grid against the written-out scan (bitwise below
     RUN_SLABS, where the scan is one run; to rounding from there on, where
@@ -514,6 +537,26 @@ def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom):
         res = bs.scatter(pairwise)
         r_o, t_o = bs.solve_boundary_value(chain, delta, cfg, geom)
         assert abs(res.r - r_o) < 1e-10 and abs(res.t - t_o) < 1e-10
+
+
+def test_opaque_chain_reflects_as_semi_infinite_lattice(cfg, geom):
+    # where a long lattice transmits nothing it reflects as the semi-infinite
+    # one (Deutsch et al., PRA 52, 1394 (1995)): r_inf = v1/v2 for the
+    # eigenvector v of the cell matrix M whose eigenvalue lambda has the
+    # larger modulus, the mode that dominates M^n, so r_inf = M12/(lambda -
+    # M11).  30,000 periods of the default 21-slab cell are 630,000 slabs,
+    # far past the boundary-value oracle
+    chain = bs.two_component_lattice(3e17, 0.2, 30000, 20, geom)
+    grid = bs.detuning_grid() * cfg.gamma
+    m = bs.unit_cell_matrix(chain, grid, cfg, geom)
+    res = bs.scatter(bs.chain_matrix(chain, grid, cfg, geom))
+    w = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    root = np.sqrt(w * w - 1.0)
+    lam = np.where(np.abs(w + root) >= np.abs(w - root), w + root, w - root)
+    r_inf = m[..., 0, 1] / (lam - m[..., 0, 0])
+    opaque = res.big_t < 1e-30
+    assert opaque.sum() >= 100  # 103 of the 1101 points
+    assert np.max(np.abs(res.r - r_inf)[opaque]) <= 1e-10
 
 
 def test_transmission_below_float_range_raises(cfg, geom):
@@ -596,10 +639,6 @@ def test_star_rows_have_the_bits_of_stacked_rows(seed, shapes):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-_slab_values = st.tuples(st.floats(0.0, 3e11), st.floats(-5.0, 5.0),
-                         st.floats(0.0, 1.5e-6))
-
-
 @settings(max_examples=60, deadline=None)
 @given(slabs=st.lists(_slab_values, min_size=1, max_size=5),
        periods=st.integers(1, 400),
@@ -607,8 +646,7 @@ _slab_values = st.tuples(st.floats(0.0, 3e11), st.floats(-5.0, 5.0),
 def test_star_power_equals_sequential_scan(cfg, geom, slabs, periods, deltas):
     # the periodic path (star power of the cell) against the flat chain
     # scanned slab by slab, over passive chains from thin to opaque
-    sd, shift, gap = (np.array(v) for v in zip(*slabs))
-    chain = bs.SlabChain(sd, shift * cfg.gamma, gap, periods=periods)
+    chain = _periodic_chain(slabs, periods, cfg.gamma)
     delta = np.array(deltas) * cfg.gamma
     fast = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
     slow = bs.scatter(bs.chain_matrix(chain.repeated(), delta, cfg, geom))

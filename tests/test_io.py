@@ -67,9 +67,12 @@ def test_csv_zero_density_columns(tmp_path, cfg, geom):
     np.testing.assert_array_equal(back.T, 1.0)
 
 
-def test_csv_excludes_volatile_metadata(table):
-    assert "created" in table.metadata
-    assert "created" not in render_csv({"x": table.R}, table.metadata)
+def test_csv_round_trips_metadata_exactly(tmp_path, table):
+    # every key of the table is written, and read back as it was: nothing
+    # in the metadata changes from one run to the next
+    path = tmp_path / "spectrum.csv"
+    write_spectrum_csv(table, path)
+    assert read_spectrum_csv(path).metadata == table.metadata
 
 
 def test_csv_bytes_stable(table):
@@ -135,8 +138,7 @@ def _csv_per_cell(columns, metadata=None):
     # the writer as one float() and one format_float() per cell: the reference
     names = list(columns)
     arrays = [np.asarray(columns[name]) for name in names]
-    lines = [f"# {key} = {metadata[key]}" for key in sorted(metadata or {})
-             if key not in tableio.VOLATILE_KEYS]
+    lines = [f"# {key} = {metadata[key]}" for key in sorted(metadata or {})]
     lines.append(",".join(names))
     for i in range(arrays[0].size):
         lines.append(",".join(format_float(float(a[i])) for a in arrays))
@@ -448,8 +450,8 @@ def test_svg_blocks_hold_one_block_of_points():
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_streamed_svg_write_holds_no_whole_document(tmp_path, cpus):
-    # the document is ~16 B/point; render_svg followed by write_svg peaks
-    # at ~100 B/point
+    # the document is ~16 B/point; render_svg written whole peaks at
+    # ~100 B/point
     n = 4 * tableio.BLOCK_ROWS + 1
     x = np.linspace(0.0, 1.0, n)
     # x decreasing: every point is formatted; then the same series M4-decimated
