@@ -127,9 +127,9 @@ def run_command(compute, args) -> int:
                               f"at byte {exc.start}",
                               exc.object[:exc.start].count(b"\n") + 1) from None
     run = parse_config(text)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_files, (svg_suffix, series, xlabel, ylabel) = compute(run)
+    out = Path(args.out)  # made only now, so that a failed run leaves none
+    out.mkdir(parents=True, exist_ok=True)
     for suffix, columns, metadata in csv_files:
         path = out / f"{run.scan.out}{suffix}.csv"
         write_csv(path, columns, {**metadata, **run.echo})

@@ -294,17 +294,21 @@ def _scan(chain, delta, cfg, g):
     shape = (runs,) + delta.shape
     state = views = (*(np.zeros(shape, dtype=complex) for _ in range(4)),
                      *(np.ones(shape, dtype=complex) for _ in range(2)))
-    order = _run_order(chain.n_slabs, runs)
-    g = g[order].reshape((-1,) + (1,) * delta.ndim)
-    g2 = g * g
-    j = 0
+    if runs == 1:  # slab order and scalar phases: ~5% faster on short cells
+        order, phases = None, zip(g, g * g)
+    else:
+        order = _run_order(chain.n_slabs, runs)
+        g = g[order].reshape((-1,) + (1,) * delta.ndim)
+        g2 = g * g
+        phases = ((g[j:j + runs], g2[j:j + runs])
+                  for j in range(0, chain.n_slabs, runs))
     for zs in _zeta_blocks(chain, delta, cfg, order, runs):
         izs = 1j * zs
         for s in range(0, len(izs), runs):
             iz = izs[s:s + runs]
-            m = len(iz)
-            if m < runs:  # the last step: the runs that reach it
-                views = tuple(x[:m] for x in state)
+            gj, g2j = next(phases)
+            if len(iz) < runs:  # the last step: the runs that reach it
+                views = tuple(x[:len(iz)] for x in state)
             r, w, a, b, t, u = views
             np.multiply(iz, u, out=w)  # w = 1 / (1 - iz U), U = 1 + r'
             np.subtract(1.0, w, out=w)
@@ -313,12 +317,11 @@ def _scan(chain, delta, cfg, g):
             np.multiply(iz, t, out=b)  # r += iz t^2 w
             np.multiply(b, a, out=t)
             r += t
-            np.multiply(a, g[j:j + m], out=t)  # t = g t w
+            np.multiply(a, gj, out=t)  # t = g t w
             np.multiply(u, w, out=b)  # U = 1 + g^2 (U w - 1)
             b -= 1.0
-            np.multiply(b, g2[j:j + m], out=u)
+            np.multiply(b, g2j, out=u)
             u += 1.0
-            j += m
     r, w, a, b, t, u = state
     return r, t, u - 1.0, t
 

@@ -1,14 +1,18 @@
 """High-level scans, detected-power mapping and the boundary-value oracle.
 
 Spectra are computed on detuning grids expressed in units of the linewidth.
-Wide grids are swept serially in chunks of GRID_CHUNK points, which keeps the
-(chunk, 2, 2) matrix stacks in cache; the per-point arithmetic is elementwise,
-so chunk boundaries never change a single bit of the output.
+Wide grids are swept in chunks of GRID_CHUNK points, which keeps the
+(chunk, 2, 2) matrix stacks in cache, on one thread per usable CPU; each chunk
+writes its slice of outputs allocated once.  The per-point arithmetic is
+elementwise, so neither chunk boundaries nor threads change a single bit of
+the output.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -22,7 +26,7 @@ from .response import AtomResponseConfig, zeta
 
 DEFAULT_GRID = (-40.0, 15.0, 1101)
 FILLED_PERIODS = 10_000  # antinodes populated in the reference trap
-GRID_CHUNK = 4096  # grid points per engine call in a sweep
+GRID_CHUNK = 8192  # grid points per engine call in a sweep
 
 
 def detuning_grid(start: float = DEFAULT_GRID[0], stop: float = DEFAULT_GRID[1],
@@ -52,34 +56,84 @@ class SpectrumTable:
             raise ValueError("detuning grid must be strictly increasing")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (1 where the OS does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _columns(res) -> list:
+    """The arrays of an array, a tuple of arrays or a ScatterResult."""
+    if isinstance(res, ScatterResult):
+        return [getattr(res, f.name) for f in fields(ScatterResult)]
+    return list(res) if isinstance(res, tuple) else [res]
+
+
 def _chunked(fn, delta: np.ndarray):
     """fn over a detuning grid in slices of at most GRID_CHUNK points.
 
-    fn is elementwise over the grid, so the parts joined in grid order carry
-    the same bits as fn(delta).  Scalar, short and multi-dimensional grids
-    are one call.  An EngineError names its index in the whole grid.
+    fn returns an array, a tuple of arrays or a ScatterResult, elementwise
+    over the grid.  Scalar, short and multi-dimensional grids are one call.
+    Otherwise chunk 0 runs first; its results fix the dtypes of the
+    whole-grid outputs, allocated once, and every chunk writes its slice of
+    them.  The other chunks go to the calling thread and usable_cpus() - 1
+    helper threads, which pull chunk starts from one shared iterator (on one
+    CPU: the calling thread alone, in grid order).  So the result carries the
+    bits of fn(delta).  Of the chunks that fail, the one of the lowest start
+    raises, and an EngineError names its index in the whole grid.
     """
-    if delta.ndim != 1 or delta.size <= GRID_CHUNK:
+    size = GRID_CHUNK
+    if delta.ndim != 1 or delta.size <= size:
         return fn(delta)
+    first = fn(delta[:size])
+    cols = _columns(first)
+    out = [np.empty((delta.size,) + c.shape[1:], dtype=c.dtype) for c in cols]
+    for o, c in zip(out, cols):
+        o[:size] = c
+    starts, lock = iter(range(size, delta.size, size)), threading.Lock()
+    errors = {}  # chunk start -> exception; any entry stops every thread
 
-    def part(i):
-        try:
-            return fn(delta[i:i + GRID_CHUNK])
-        except EngineError as exc:
-            if exc.index is None:
+    def sweep():
+        while not errors:
+            with lock:
+                i = next(starts, None)
+            if i is None:
+                return
+            try:
+                part = _columns(fn(delta[i:i + size]))
+            except Exception as exc:
+                errors[i] = exc
+                return
+            for o, c in zip(out, part):
+                o[i:i + size] = c
+
+    helpers = usable_cpus() - 1
+    if helpers:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(sweep) for _ in range(helpers)]
+            try:
+                sweep()
+            except BaseException:  # an interrupt: no thread takes a new chunk
+                errors[-1] = None
                 raise
+        for f in futures:  # what sweep does not catch
+            f.result()
+    else:
+        sweep()
+    if errors:
+        i = min(errors)
+        exc = errors[i]
+        if isinstance(exc, EngineError) and exc.index is not None:
             raise type(exc)(exc.reason, i + exc.index) from None
-
-    parts = [part(i) for i in range(0, delta.size, GRID_CHUNK)]
-    if isinstance(parts[0], ScatterResult):
-        return ScatterResult(*[np.concatenate([getattr(p, f.name) for p in parts])
-                               for f in fields(ScatterResult)])
-    return np.concatenate(parts)
+        raise exc
+    if isinstance(first, ScatterResult):
+        return ScatterResult(*out)
+    return tuple(out) if isinstance(first, tuple) else out[0]
 
 
 def sweep_scatter(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
                   geom: LatticeGeometry) -> ScatterResult:
-    """Scatter coefficients over a detuning grid (rad/s), swept in chunks.
+    """Scatter coefficients over a detuning grid (rad/s), swept by _chunked.
 
     A non-finite detuning is reported by its index in the whole grid.
     """
@@ -89,11 +143,20 @@ def sweep_scatter(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
 
 def spectrum(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
              geom: LatticeGeometry, metadata: dict | None = None) -> SpectrumTable:
-    """One ScatterResult per grid point, tabulated with run metadata."""
+    """R, T, A and phi per grid point, tabulated with run metadata.
+
+    Swept by _chunked like sweep_scatter, with the same bits, but only the
+    four real columns are kept: no grid-sized complex r and t.
+    """
     grid = np.asarray(delta_over_gamma, dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
-    res = sweep_scatter(chain, grid * cfg.gamma, cfg, geom)
+
+    def coefficients(d):
+        res = scatter(chain_matrix(chain, d, cfg, geom))
+        return res.big_r, res.big_t, res.big_a, res.phi
+
+    cols = _chunked(coefficients, require_finite("delta_brg", grid * cfg.gamma))
     meta = {
         "engine_version": __version__,
         "n_slabs_per_period": str(chain.n_slabs),
@@ -104,8 +167,7 @@ def spectrum(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
     }
     if metadata:
         meta.update(metadata)
-    return SpectrumTable(grid, np.atleast_1d(res.big_r), np.atleast_1d(res.big_t),
-                         np.atleast_1d(res.big_a), np.atleast_1d(res.phi), meta)
+    return SpectrumTable(grid, *map(np.atleast_1d, cols), meta)
 
 
 def atom_number_to_density(n_atoms: float, geom: LatticeGeometry,

@@ -12,7 +12,6 @@ the bytes are those of the serial path.
 
 from __future__ import annotations
 
-import os
 import re
 from contextlib import closing, nullcontext
 from functools import partial
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import SpectrumTable
+from .experiments import SpectrumTable, usable_cpus
 
 SPECTRUM_COLUMNS = ("delta_over_gamma", "R", "T", "A", "phi_rad")
 BLOCK_ROWS = 1 << 15  # rows per formatted text block (~2 MB of text)
@@ -50,8 +49,7 @@ def format_rows(template: str, arrays):
     rows = BLOCK_ROWS  # read per call, so that a patched value takes effect
     blocks = [[a[i:i + rows] for a in arrays]
               for i in range(0, len(arrays[0]), rows)]
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
-    workers, pool = min(len(cpus), len(blocks)), None
+    workers, pool = min(usable_cpus(), len(blocks)), None
     if workers > 1:
         import multiprocessing  # lazily: importing the CLI does not load it
         if ("fork" in multiprocessing.get_all_start_methods()

@@ -189,6 +189,24 @@ def test_engine_error_reported(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_refused_scan_leaves_no_out_directory(tmp_path):
+    # exit 2 after the config parsed: --out is made only before the first write
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST_CONFIG.replace("kind = two_component", "kind = perfect"),
+                    encoding="utf-8")
+    out = tmp_path / "x" / "sub"
+    assert main(["scan-atoms", "--config", str(path), "--out", str(out)]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_engine_error_leaves_no_out_directory(tmp_path):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("[model]\nn_s = 100000\n", encoding="utf-8")
+    out = tmp_path / "x" / "sub"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 4
+    assert not (tmp_path / "x").exists()
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"[model]\nkind = perfect\xff\n")

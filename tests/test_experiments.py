@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,6 +165,108 @@ def test_composites_equal_their_public_parts_bitwise(cfg, geom):
     for d in (0.3 * cfg.gamma, delta[:5]):
         assert _same_bits(bs.chain_matrix(flat, d, cfg, geom),
                           bs.unit_cell_matrix(flat, d, cfg, geom))
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Chunks of 7 points on two usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(bs.experiments, "GRID_CHUNK", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("kind", ["array", "tuple", "ScatterResult"])
+def test_threaded_sweep_is_bitwise(cfg, geom, threaded, kind):
+    # four chunks, the last of one point, on the calling thread and a helper
+    chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
+    delta = bs.detuning_grid(-40, 15, 3 * 7 + 1) * cfg.gamma
+
+    def fn(d):
+        if kind == "array":
+            return bs.bloch_phase(bs.unit_cell_matrix(chain, d, cfg, geom))
+        res = bs.scatter(bs.chain_matrix(chain, d, cfg, geom))
+        return (res.big_r, res.r, res.phi) if kind == "tuple" else res
+
+    got, want = _chunked(fn, delta), fn(delta)
+    assert type(got) is type(want)
+    for a, b in zip(*map(bs.experiments._columns, (got, want))):
+        assert _same_bits(a, b)
+
+
+def test_threaded_spectrum_keeps_the_one_call_bits(cfg, geom, threaded):
+    chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
+    grid = bs.detuning_grid(-40, 15, 5 * 7 + 3)
+    table = bs.spectrum(chain, grid, cfg, geom)
+    res = bs.scatter(bs.chain_matrix(chain, grid * cfg.gamma, cfg, geom))
+    for got, want in ((table.R, res.big_r), (table.T, res.big_t),
+                      (table.A, res.big_a), (table.phi, res.phi)):
+        assert _same_bits(got, want)
+
+
+def test_threaded_sweep_raises_the_first_failure_in_grid_order(threaded):
+    # the chunk at 7 fails only after the chunk at 14 has failed, so the
+    # first failure in wall time is not the first in grid order
+    later_failed, raised = threading.Event(), []
+
+    def fn(d):
+        start = int(d[0])
+        if start == 7:
+            assert later_failed.wait(10), "the chunks did not run side by side"
+            raised.append(start)
+            raise bs.EngineError("bad point", 2)
+        if start == 14:
+            raised.append(start)
+            later_failed.set()
+            raise bs.EngineError("bad point", 3)
+        return d
+
+    with pytest.raises(bs.EngineError) as exc:
+        _chunked(fn, np.arange(30.0))
+    assert raised == [14, 7]
+    assert exc.value.index == 9 and str(exc.value) == "bad point at grid index 9"
+
+
+def test_threaded_sweep_takes_every_chunk_once(monkeypatch):
+    # more threads than cores and a short switch interval: a chunk start
+    # pulled twice or lost shows in the counts or in the output
+    monkeypatch.setattr(bs.experiments, "GRID_CHUNK", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    starts, lock = [], threading.Lock()
+
+    def fn(d):
+        with lock:
+            starts.append(int(d[0]))
+        return d + 1.0, np.full(d.size, int(d[0]))
+
+    grid = np.arange(3001.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        plus, first = _chunked(fn, grid)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(starts) == list(range(0, 3001, 3))
+    assert _same_bits(plus, grid + 1.0)
+    assert _same_bits(first, grid.astype(int) // 3 * 3)
+
+
+def test_one_cpu_sweeps_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(bs.experiments, "GRID_CHUNK", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_thread(self):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    callers = set()
+
+    def fn(d):
+        callers.add(threading.get_ident())
+        return 2.0 * d
+
+    grid = np.arange(30.0)
+    assert _same_bits(_chunked(fn, grid), 2.0 * grid)
+    assert callers == {threading.get_ident()}
 
 
 def test_oracle_matches_engine_grid_path_on_random_chains(cfg, geom):
