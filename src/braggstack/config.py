@@ -241,7 +241,6 @@ _TABLE = {
          _check(_temperature, lambda t: t >= 0.0, "T must be non-negative"),
          lambda raw, t, _: f"{raw} ({t * 1e6:.6g} uK)", 'or "90 uK" / "0 K"'),
         ("w_dip", "220 um", _length, None, "trap waist"),
-        ("w_brg", "800 um", _length, None, "probe waist"),
     ),
     "response": (
         ("gamma", "6 MHz", _angular("gamma"), None, "natural linewidth"),

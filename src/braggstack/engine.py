@@ -495,11 +495,11 @@ def bloch_phase(unit_cell: TransferMatrix):
     return theta
 
 
-def density_of_states(delta_grid, theta, gap_tol: float = 1e-9):
+def density_of_states(delta_grid, theta):
     """Relative density of optical states, |d Re(theta) / d delta|.
 
     Computed by central finite differences on a uniform detuning grid; set to
-    zero wherever Im(theta) > gap_tol (inside a stop band).  Warns when the
+    zero wherever Im(theta) > 1e-9 (inside a stop band).  Warns when the
     grid is too coarse to trust the derivative.
     """
     delta = np.asarray(delta_grid, dtype=float)
@@ -516,5 +516,5 @@ def density_of_states(delta_grid, theta, gap_tol: float = 1e-9):
         warnings.warn("Re(theta) jumps exceed pi/4 between grid points; "
                       "the detuning grid is too coarse", stacklevel=2)
     rho = np.abs(np.gradient(re, delta))
-    rho[theta.imag > gap_tol] = 0.0
+    rho[theta.imag > 1e-9] = 0.0
     return rho

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .engine import EngineError, ScatterResult, SlabChain, chain_matrix, \
-    require_finite, scatter, unit_cell_matrix, bloch_phase, density_of_states
+    require_finite, require_int, scatter, unit_cell_matrix, bloch_phase, \
+    density_of_states
 from .geometry import LatticeGeometry
 from .models import two_component_lattice
 from .response import AtomResponseConfig, zeta
@@ -32,6 +33,7 @@ GRID_CHUNK = 8192  # grid points per engine call in a sweep
 def detuning_grid(start: float = DEFAULT_GRID[0], stop: float = DEFAULT_GRID[1],
                   points: int = DEFAULT_GRID[2]) -> np.ndarray:
     """Uniform detuning grid in units of the linewidth."""
+    points = require_int("points", points)
     if points < 1:
         raise ValueError("grid needs at least one point")
     return np.linspace(start, stop, points)
@@ -61,84 +63,82 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _columns(res) -> list:
-    """The arrays of an array, a tuple of arrays or a ScatterResult."""
-    if isinstance(res, ScatterResult):
-        return [getattr(res, f.name) for f in fields(ScatterResult)]
-    return list(res) if isinstance(res, tuple) else [res]
-
-
-def _chunked(fn, delta: np.ndarray):
+def _chunked(fn, delta: np.ndarray) -> tuple:
     """fn over a detuning grid in slices of at most GRID_CHUNK points.
 
-    fn returns an array, a tuple of arrays or a ScatterResult, elementwise
-    over the grid.  Scalar, short and multi-dimensional grids are one call.
+    fn returns a tuple of arrays, elementwise over the grid, and so does
+    _chunked.  Scalar, short and multi-dimensional grids are one call.
     Otherwise chunk 0 runs first; its results fix the dtypes of the
     whole-grid outputs, allocated once, and every chunk writes its slice of
     them.  The other chunks go to the calling thread and usable_cpus() - 1
     helper threads, which pull chunk starts from one shared iterator (on one
     CPU: the calling thread alone, in grid order).  So the result carries the
     bits of fn(delta).  Of the chunks that fail, the one of the lowest start
-    raises, and an EngineError names its index in the whole grid.
+    raises, and an EngineError names its index in the whole grid; a helper
+    keeps whatever fn raises, so no unwritten slice is returned.  An
+    interrupt of the calling thread stops every thread and propagates.
     """
     size = GRID_CHUNK
     if delta.ndim != 1 or delta.size <= size:
         return fn(delta)
     first = fn(delta[:size])
-    cols = _columns(first)
-    out = [np.empty((delta.size,) + c.shape[1:], dtype=c.dtype) for c in cols]
-    for o, c in zip(out, cols):
+    out = tuple(np.empty((delta.size,) + c.shape[1:], dtype=c.dtype) for c in first)
+    for o, c in zip(out, first):
         o[:size] = c
     starts, lock = iter(range(size, delta.size, size)), threading.Lock()
     errors = {}  # chunk start -> exception; any entry stops every thread
 
-    def sweep():
+    def sweep(caught):
         while not errors:
             with lock:
                 i = next(starts, None)
             if i is None:
                 return
             try:
-                part = _columns(fn(delta[i:i + size]))
-            except Exception as exc:
+                for o, c in zip(out, fn(delta[i:i + size])):
+                    o[i:i + size] = c
+            except caught as exc:
                 errors[i] = exc
                 return
-            for o, c in zip(out, part):
-                o[i:i + size] = c
 
-    helpers = usable_cpus() - 1
-    if helpers:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(helpers) as pool:
-            futures = [pool.submit(sweep) for _ in range(helpers)]
-            try:
-                sweep()
-            except BaseException:  # an interrupt: no thread takes a new chunk
-                errors[-1] = None
-                raise
-        for f in futures:  # what sweep does not catch
-            f.result()
-    else:
-        sweep()
+    helpers = [threading.Thread(target=sweep, args=(BaseException,))
+               for _ in range(usable_cpus() - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        sweep(Exception)
+    except BaseException:  # an interrupt: no thread takes a new chunk
+        errors[-1] = None
+        raise
+    finally:
+        for t in helpers:
+            t.join()
     if errors:
         i = min(errors)
         exc = errors[i]
         if isinstance(exc, EngineError) and exc.index is not None:
             raise type(exc)(exc.reason, i + exc.index) from None
         raise exc
-    if isinstance(first, ScatterResult):
-        return ScatterResult(*out)
-    return tuple(out) if isinstance(first, tuple) else out[0]
+    return out
+
+
+def _scattered(chain: SlabChain, delta, cfg: AtomResponseConfig,
+               geom: LatticeGeometry) -> tuple:
+    """(r, t, R, T, A, phi) of the chain at the given detunings (rad/s)."""
+    res = scatter(chain_matrix(chain, delta, cfg, geom))
+    return res.r, res.t, res.big_r, res.big_t, res.big_a, res.phi
 
 
 def sweep_scatter(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
                   geom: LatticeGeometry) -> ScatterResult:
     """Scatter coefficients over a detuning grid (rad/s), swept by _chunked.
 
-    A non-finite detuning is reported by its index in the whole grid.
+    The ScatterResult is built from the six swept columns; it has the bits
+    of scatter(chain_matrix(...)) on the whole grid.  A non-finite detuning
+    is reported by its index in the whole grid.
     """
-    return _chunked(lambda d: scatter(chain_matrix(chain, d, cfg, geom)),
-                    require_finite("delta_brg", delta))
+    return ScatterResult(*_chunked(lambda d: _scattered(chain, d, cfg, geom),
+                                   require_finite("delta_brg", delta)))
 
 
 def spectrum(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
@@ -151,12 +151,8 @@ def spectrum(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
     grid = np.asarray(delta_over_gamma, dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
-
-    def coefficients(d):
-        res = scatter(chain_matrix(chain, d, cfg, geom))
-        return res.big_r, res.big_t, res.big_a, res.phi
-
-    cols = _chunked(coefficients, require_finite("delta_brg", grid * cfg.gamma))
+    cols = _chunked(lambda d: _scattered(chain, d, cfg, geom)[2:],
+                    require_finite("delta_brg", grid * cfg.gamma))
     meta = {
         "engine_version": __version__,
         "n_slabs_per_period": str(chain.n_slabs),
@@ -170,15 +166,14 @@ def spectrum(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
     return SpectrumTable(grid, *map(np.atleast_1d, cols), meta)
 
 
-def atom_number_to_density(n_atoms: float, geom: LatticeGeometry,
-                           filled_periods: int = FILLED_PERIODS) -> float:
+def atom_number_to_density(n_atoms: float, geom: LatticeGeometry) -> float:
     """Mean density of N atoms spread over the filled antinodes.
 
-    Convention: filled_periods wells of thickness lambda_dip/2 and Gaussian
+    Convention: FILLED_PERIODS wells of thickness lambda_dip/2 and Gaussian
     radial area 2*pi*sigma_r^2.
     """
     sigma_r = geom.derived().sigma_r
-    volume = filled_periods * (geom.lambda_dip / 2.0) * 2.0 * math.pi * sigma_r**2
+    volume = FILLED_PERIODS * (geom.lambda_dip / 2.0) * 2.0 * math.pi * sigma_r**2
     return n_atoms / volume
 
 
@@ -227,19 +222,20 @@ def lattice_constant_scan(delta_lambda_values, build_chain, delta_over_gamma,
 
 def radial_average(n_peak: float, sigma_r: float, n_rings: int, build_chain,
                    delta_over_gamma, cfg: AtomResponseConfig,
-                   geom: LatticeGeometry, radial_extent: float = 2.5) -> SpectrumTable:
+                   geom: LatticeGeometry) -> SpectrumTable:
     """Area-weighted average of spectra over the Gaussian radial profile.
 
-    The disk of radius radial_extent*sigma_r is split into n_rings equal-area
+    The disk of radius 2.5*sigma_r is split into n_rings equal-area
     annuli; each ring contributes the spectrum computed at its inner-edge
     density n_peak * exp(-rho^2 / 2 sigma_r^2).  `build_chain(n)` maps a
     density to the model chain.  phi is the phase of the ring-averaged
     reflection amplitude sqrt(R_k) exp(i phi_k), not a mean of phases.
     """
+    n_rings = require_int("n_rings", n_rings)
     if n_rings < 1:
         raise ValueError("n_rings must be >= 1")
     grid = np.asarray(delta_over_gamma, dtype=float)
-    rho_max = radial_extent * sigma_r
+    rho_max = 2.5 * sigma_r
     acc = None
     r_sum = 0.0
     for k in range(n_rings):
@@ -356,13 +352,15 @@ def band_structure(chain: SlabChain, delta_over_gamma, cfg: AtomResponseConfig,
                    geom: LatticeGeometry):
     """Bloch phase theta(delta) of the chain's unit cell and the derived DOS.
 
-    The arccos branch is fixed by continuity along the scan (real part
-    unwrapped, Im theta >= 0).  Returns (theta, rho) arrays.
+    Swept by _chunked as a one-column tuple, with the bits of the whole-grid
+    bloch_phase(unit_cell_matrix(...)).  The arccos branch is fixed by
+    continuity along the scan (real part unwrapped, Im theta >= 0).  Returns
+    (theta, rho) arrays.
     """
     grid = np.asarray(delta_over_gamma, dtype=float)
     theta = np.atleast_1d(_chunked(
-        lambda d: bloch_phase(unit_cell_matrix(chain, d, cfg, geom)),
-        require_finite("delta_brg", grid * cfg.gamma)))
+        lambda d: (bloch_phase(unit_cell_matrix(chain, d, cfg, geom)),),
+        require_finite("delta_brg", grid * cfg.gamma))[0])
     theta = np.unwrap(theta.real) + 1j * theta.imag
     rho = density_of_states(grid, theta)
     return theta, rho

@@ -136,7 +136,6 @@ class LatticeGeometry:
     U0: float
     T: float
     w_dip: float
-    w_brg: float
 
     def __post_init__(self):
         if not 0.0 < self.lambda_brg <= self.lambda_dip:
@@ -147,8 +146,8 @@ class LatticeGeometry:
             raise ValueError("U0 must be positive")
         if self.T < 0.0:
             raise ValueError("T must be non-negative")
-        if self.w_dip <= 0.0 or self.w_brg <= 0.0:
-            raise ValueError("waists must be positive")
+        if self.w_dip <= 0.0:
+            raise ValueError("w_dip must be positive")
 
     @property
     def k_dip(self) -> float:
@@ -187,12 +186,11 @@ def bragg_matched_geometry(
     U0: float = None,
     T: float = None,
     w_dip: float = 220e-6,
-    w_brg: float = 800e-6,
 ) -> LatticeGeometry:
     """Geometry with beta_i set on the Bragg condition for the two wavelengths.
 
     Defaults follow the reference setup: 810/780 nm, U0 = k_B*500uK/hbar,
-    k_B*T = 0.4*hbar*U0, 220/800 um waists.
+    k_B*T = 0.4*hbar*U0, a 220 um trap waist.
     """
     if U0 is None:
         U0 = k_B * 500e-6 / hbar
@@ -205,5 +203,4 @@ def bragg_matched_geometry(
         U0=U0,
         T=T,
         w_dip=w_dip,
-        w_brg=w_brg,
     )

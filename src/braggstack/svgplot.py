@@ -37,11 +37,11 @@ def _widened(lo: float, hi: float) -> float:
     return lo + (1.0 if abs(lo) < 2.0**53 else abs(lo) * 2.0**-50)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6):
+def _nice_ticks(lo: float, hi: float):
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("tick range must be finite")
     hi = _widened(lo, hi)
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 6  # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0  # may underflow
     step = next((m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag), 0.0)
     if step < math.ulp(max(abs(lo), abs(hi))):
@@ -74,7 +74,7 @@ def _m4(x, y):
     return np.array(sorted(keep))
 
 
-def svg_blocks(series, xlabel: str, ylabel: str, title: str = ""):
+def svg_blocks(series, xlabel: str, ylabel: str):
     """render_svg's document in blocks: the axes, then each polyline with its
     points as format_rows yields them.  A bad series raises before the first."""
     series = list(series)
@@ -129,9 +129,6 @@ def svg_blocks(series, xlabel: str, ylabel: str, title: str = ""):
     out.append(f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" {font} '
                f'text-anchor="middle" transform="rotate(-90 18 '
                f'{MARGIN_T + plot_h / 2:.1f})">{ylabel.translate(ESCAPES)}</text>')
-    if title:
-        out.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="24" {font} '
-                   f'text-anchor="middle">{title.translate(ESCAPES)}</text>')
 
     def gen():
         yield "\n".join(out) + "\n"
@@ -161,9 +158,9 @@ def svg_blocks(series, xlabel: str, ylabel: str, title: str = ""):
     return gen()
 
 
-def render_svg(series, xlabel: str, ylabel: str, title: str = "") -> str:
+def render_svg(series, xlabel: str, ylabel: str) -> str:
     """Line plot of the given series with axes, ticks and a legend."""
-    return "".join(svg_blocks(series, xlabel, ylabel, title))
+    return "".join(svg_blocks(series, xlabel, ylabel))
 
 
 def spectrum_series(tables):

@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 
 import pytest
 
@@ -25,7 +26,11 @@ def cfg1():
 
 @pytest.fixture(autouse=True)
 def no_leaked_processes():
-    """Fail a test that leaves a child process (a formatting pool worker) alive."""
+    """Fail a test that leaves a child process (a formatting pool worker) or
+    a thread it started (a sweep helper) alive."""
+    before = set(threading.enumerate())
     yield
     leaked = multiprocessing.active_children()
     assert not leaked, f"test left child processes running: {leaked}"
+    threads = [t for t in threading.enumerate() if t not in before]
+    assert not threads, f"test left threads running: {threads}"

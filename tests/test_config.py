@@ -20,7 +20,7 @@ def test_empty_config_uses_all_defaults():
     # every schema key is echoed, defaults included
     assert run.echo["geometry.w_dip"] == "220 um"
     assert run.echo["scan.eta"] == "0.16"
-    assert len(run.echo) == 24
+    assert len(run.echo) == 23
 
 
 def test_default_config_text_round_trips():
@@ -128,7 +128,7 @@ def test_comments_and_blank_lines_ignored():
 
 DEFAULT_TEXT = (
     "[geometry]\nlambda_dip = 810 nm\nlambda_brg = 780 nm\nangle = bragg\n"
-    "U0 = 500 uK\nT = 0.4*U0\nw_dip = 220 um\nw_brg = 800 um\n\n"
+    "U0 = 500 uK\nT = 0.4*U0\nw_dip = 220 um\n\n"
     "[response]\ngamma = 6 MHz\nlines = default\n\n"
     "[model]\nkind = two_component\nn = 3e11 cm^-3\nn_s = 600\nn_ss = 20\n"
     "f_dw = 0.2\nstark = off\npotential = harmonic\n\n"
@@ -143,7 +143,6 @@ DEFAULT_ECHO = {
     "geometry.U0": "500 uK",
     "geometry.T": "0.4*U0 (200 uK)",
     "geometry.w_dip": "220 um",
-    "geometry.w_brg": "800 um",
     "response.gamma": "6 MHz",
     "response.lines": "-31 0.0793651; -20 0.277778; 0 0.642857",
     "model.kind": "two_component",
@@ -247,3 +246,12 @@ def test_invalid_value_names_its_line(text, line, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_probe_waist_is_no_longer_a_key(tmp_path, capsys):
+    # nothing computed from w_brg, so the key went; an old config says so
+    path = tmp_path / "old.cfg"
+    path.write_text("[geometry]\nw_dip = 220 um\nw_brg = 800 um\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "line 3: unknown key 'w_brg' in [geometry]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.experiments import GRID_CHUNK, _chunked
+from braggstack.experiments import GRID_CHUNK, _chunked, _scattered
 
 
 def test_spectrum_zero_density(cfg, geom):
@@ -117,13 +117,12 @@ def test_chunked_one_point_tail_is_bitwise(cfg, geom):
 
     def fn(d):
         widths.append(d.size)
-        return bs.scatter(bs.chain_matrix(chain, d, cfg, geom))
+        return _scattered(chain, d, cfg, geom)
 
     chunked = _chunked(fn, delta)
     assert widths == [GRID_CHUNK, 1]
-    full = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
-    for name in ("r", "t", "big_r", "big_t", "big_a", "phi"):
-        assert _same_bits(getattr(chunked, name), getattr(full, name)), name
+    for got, want in zip(chunked, _scattered(chain, delta, cfg, geom), strict=True):
+        assert _same_bits(got, want)
 
 
 def test_sweep_scalar_detuning_gives_scalar_result(cfg, geom):
@@ -174,21 +173,19 @@ def threaded(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-@pytest.mark.parametrize("kind", ["array", "tuple", "ScatterResult"])
-def test_threaded_sweep_is_bitwise(cfg, geom, threaded, kind):
-    # four chunks, the last of one point, on the calling thread and a helper
+def test_threaded_sweep_is_bitwise(cfg, geom, threaded):
+    # four chunks, the last of one point, on the calling thread and a helper;
+    # complex and real columns, in the order fn returns them
     chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
     delta = bs.detuning_grid(-40, 15, 3 * 7 + 1) * cfg.gamma
 
     def fn(d):
-        if kind == "array":
-            return bs.bloch_phase(bs.unit_cell_matrix(chain, d, cfg, geom))
-        res = bs.scatter(bs.chain_matrix(chain, d, cfg, geom))
-        return (res.big_r, res.r, res.phi) if kind == "tuple" else res
+        r, _, big_r, _, _, phi = _scattered(chain, d, cfg, geom)
+        return big_r, r, phi, bs.bloch_phase(bs.unit_cell_matrix(chain, d, cfg, geom))
 
     got, want = _chunked(fn, delta), fn(delta)
-    assert type(got) is type(want)
-    for a, b in zip(*map(bs.experiments._columns, (got, want))):
+    assert type(got) is tuple and len(got) == len(want)
+    for a, b in zip(got, want):
         assert _same_bits(a, b)
 
 
@@ -217,7 +214,7 @@ def test_threaded_sweep_raises_the_first_failure_in_grid_order(threaded):
             raised.append(start)
             later_failed.set()
             raise bs.EngineError("bad point", 3)
-        return d
+        return (d,)
 
     with pytest.raises(bs.EngineError) as exc:
         _chunked(fn, np.arange(30.0))
@@ -262,11 +259,56 @@ def test_one_cpu_sweeps_on_the_calling_thread(monkeypatch):
 
     def fn(d):
         callers.add(threading.get_ident())
-        return 2.0 * d
+        return (2.0 * d,)
 
     grid = np.arange(30.0)
-    assert _same_bits(_chunked(fn, grid), 2.0 * grid)
+    assert _same_bits(_chunked(fn, grid)[0], 2.0 * grid)
     assert callers == {threading.get_ident()}
+
+
+class _Stop(BaseException):
+    """Not an Exception: what `except Exception` lets through."""
+
+
+def test_threaded_sweep_raises_what_a_helper_raises(threaded):
+    # the helper's chunk raises a BaseException; the caller must not return
+    # the slice it left unwritten
+    caller, helper_failed = threading.get_ident(), threading.Event()
+
+    def fn(d):
+        if d[0] == 0.0:  # chunk 0, before any helper starts
+            return (d,)
+        if threading.get_ident() == caller:
+            assert helper_failed.wait(10), "the helper took no chunk"
+            return (d,)
+        helper_failed.set()
+        raise _Stop(int(d[0]))
+
+    with pytest.raises(_Stop):
+        _chunked(fn, np.arange(30.0))
+
+
+def test_interrupt_on_the_calling_thread_stops_every_thread(threaded):
+    # Ctrl-C arrives on the calling thread while the helper is in a chunk:
+    # the KeyboardInterrupt propagates as itself once the helper has ended,
+    # and the helper leaves the other chunks of the 50 alone
+    caller, interrupted, taken = threading.get_ident(), threading.Event(), []
+
+    def fn(d):
+        taken.append(int(d[0]))
+        if d[0] == 0.0:
+            return (d,)
+        if threading.get_ident() == caller:
+            interrupted.set()
+            raise KeyboardInterrupt
+        assert interrupted.wait(10), "the calling thread took no chunk"
+        return (d,)
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        _chunked(fn, np.arange(50 * 7.0))
+    assert threading.active_count() == before
+    assert len(taken) < 10
 
 
 def test_oracle_matches_engine_grid_path_on_random_chains(cfg, geom):
@@ -453,6 +495,20 @@ def test_radial_average_softens_dip(cfg, geom):
         return table.R[iside] - table.R[i0]
 
     assert dip_contrast(avg) < dip_contrast(plain)
+
+
+def test_detuning_grid_rejects_a_non_integer_point_count():
+    # numpy's own error would not name the input
+    with pytest.raises(TypeError, match=r"^points must be an integer: 5\.0$"):
+        bs.detuning_grid(-1, 1, 5.0)
+    assert _same_bits(bs.detuning_grid(-1, 1, np.int64(5)), np.linspace(-1, 1, 5))
+
+
+def test_radial_average_rejects_a_non_integer_ring_count(cfg, geom):
+    build = lambda n: bs.perfect_lattice(n, 20, geom)
+    with pytest.raises(TypeError, match=r"^n_rings must be an integer: 2\.0$"):
+        bs.radial_average(3e17, 1e-5, 2.0, build, bs.detuning_grid(-1, 1, 5),
+                          cfg, geom)
 
 
 def test_radial_average_phase_is_phase_of_mean_amplitude(cfg, geom):

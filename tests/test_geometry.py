@@ -98,11 +98,13 @@ def test_penetration_layers_monotone_in_f_dw():
 
 def test_geometry_invariants_enforced():
     with pytest.raises(ValueError):
-        bs.LatticeGeometry(780e-9, 810e-9, 0.2, 1e7, 1e-4, 1e-4, 1e-4)
+        bs.LatticeGeometry(780e-9, 810e-9, 0.2, 1e7, 1e-4, 1e-4)
     with pytest.raises(ValueError):
-        bs.LatticeGeometry(810e-9, 780e-9, 0.2, -1e7, 1e-4, 1e-4, 1e-4)
+        bs.LatticeGeometry(810e-9, 780e-9, 0.2, -1e7, 1e-4, 1e-4)
     with pytest.raises(ValueError):
-        bs.LatticeGeometry(810e-9, 780e-9, 0.2, 1e7, -1e-4, 1e-4, 1e-4)
+        bs.LatticeGeometry(810e-9, 780e-9, 0.2, 1e7, -1e-4, 1e-4)
+    with pytest.raises(ValueError, match="^w_dip must be positive$"):
+        bs.LatticeGeometry(810e-9, 780e-9, 0.2, 1e7, 1e-4, 0.0)
 
 
 def test_derived_geometry_bundle(geom):

@@ -427,13 +427,12 @@ _xml_text = st.text(st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(label=_xml_text, xlabel=_xml_text, ylabel=_xml_text, title=_xml_text)
-@example(label="R < 1 & T", xlabel="x", ylabel="y", title="a > b")
-def test_svg_text_is_escaped(label, xlabel, ylabel, title):
-    doc = render_svg([Series(np.arange(3.0), np.arange(3.0), label)], xlabel,
-                     ylabel, title)
+@given(label=_xml_text, xlabel=_xml_text, ylabel=_xml_text)
+@example(label="R < 1 & T", xlabel="x", ylabel="a > b")
+def test_svg_text_is_escaped(label, xlabel, ylabel):
+    doc = render_svg([Series(np.arange(3.0), np.arange(3.0), label)], xlabel, ylabel)
     texts = [e.text for e in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
-    assert texts[-4:] == [xlabel, ylabel, title, label]
+    assert texts[-3:] == [xlabel, ylabel, label]
 
 
 def test_svg_blocks_hold_one_block_of_points():
