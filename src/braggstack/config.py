@@ -266,7 +266,7 @@ _TABLE = {
                 "grid needs start < stop and at least 2 points"),
          None, "detuning grid in Gamma: start stop points"),
         ("delta_lambda", "0 nm", _length_list, None,
-         "lattice mismatch; list allowed for scan-lattice"),
+         "lattice mismatch list; read by scan-lattice only"),
         ("atom_numbers", "1e5 4e7 13",
          _check(_triple, lambda a: 0 < a[0] < a[1] and a[2] >= 2,
                 "atom_numbers needs 0 < start < stop, points >= 2"),

@@ -113,6 +113,24 @@ def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
     write_blocks(path, _blocks(columns, metadata))
 
 
+def _parses(text: str, cells: int) -> bool:
+    try:
+        return np.fromstring(text, sep=",").size == cells
+    except ValueError:
+        return False
+
+
+def _first_bad_cell(body: str, names, first: int) -> str | None:
+    """The line, column and text of the first cell numpy reads as no number."""
+    for line, raw in enumerate(body.split("\n")[:-1], first):  # body ends in "\n"
+        if _parses(raw, len(names)):
+            continue
+        for column, (name, cell) in enumerate(zip(names, raw.split(",")), 1):
+            if not _parses(cell, 1):
+                return f"line {line}, column {column} ({name}): {cell!r} is not a number"
+    return None
+
+
 def read_csv(path):
     """Read back (columns, metadata) from a CSV written by write_csv.
 
@@ -134,16 +152,17 @@ def read_csv(path):
             key, value = raw[1:].split("=", 1)
             metadata[key.strip()] = value.strip()
     names, body = header.group(1).split(","), text[header.end():]
+    first = text.count("\n", 0, header.end()) + 1  # the line number of body's first row
     seps = body.encode().translate(None, _NOT_SEPARATORS)
     row = b"," * (len(names) - 1)
     if seps != (row + b"\n") * seps.count(b"\n"):
         line, cells = next((i, s.count(b",") + 1) for i, s in enumerate(
-            seps.split(b"\n"), text.count("\n", 0, header.end()) + 1) if s != row)
+            seps.split(b"\n"), first) if s != row)
         raise ValueError(f"{path}: line {line} has {cells} cells, not {len(names)}")
     try:
         data = np.fromstring(body.replace("\n", ","), sep=",").reshape(-1, len(names))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {_first_bad_cell(body, names, first) or exc}") from None
     columns = {name: data[:, i].copy() for i, name in enumerate(names)}
     return columns, metadata
 

@@ -1,11 +1,11 @@
-"""Self-verification suite: oracle cross-checks and engine invariants.
+"""Self-verification suite behind `braggstack verify`: oracle cross-checks
+and engine invariants, one row of CHECKS each.
 
-Run via `braggstack verify`; every check prints one pass/fail line and the
-command exits nonzero if anything fails.  Seeds are fixed so the randomized
-chains are reproducible.
+A row is (name, tolerance, check).  A check takes the geometry, the response
+config and the oracle's chain count (only the oracle row uses it) and
+returns (deviation, detail); the row passes when the deviation is at most
+its tolerance.  Seeds are fixed so the randomized chains are reproducible.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
@@ -28,43 +28,37 @@ class CheckResult:
     detail: str
 
 
-def _random_chain(rng, max_slabs=20):
-    n = int(rng.integers(1, max_slabs + 1))
+def _random_chain(rng, cfg):
+    n = int(rng.integers(1, 21))
     return SlabChain(
         rng.uniform(0.0, 3e11, n),
-        rng.uniform(-5.0, 5.0, n) * default_config().gamma,
+        rng.uniform(-5.0, 5.0, n) * cfg.gamma,
         rng.uniform(0.0, 1.5e-6, n),
     )
 
 
-def check_oracle_agreement(n_chains=500, tol=1e-10, seed=DEFAULT_SEED):
+def check_oracle_agreement(geom, cfg, n_chains):
     """Chain amplitudes vs boundary-value solver on randomized chains.
 
     Each detuning is taken as a scalar (closed-form slabs, star-folded
     pairwise) and as a one-point grid (slab scan, one run on these short
     chains); the worst of both is reported.
     """
-    rng = np.random.default_rng(seed)
-    geom = bragg_matched_geometry()
-    cfg = default_config()
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for _ in range(n_chains):
-        chain = _random_chain(rng)
+        chain = _random_chain(rng, cfg)
         delta = float(rng.uniform(-12.0, 12.0)) * cfg.gamma
         r_o, t_o = solve_boundary_value(chain, delta, cfg, geom)
         for d in (delta, np.array([delta])):
             res = scatter(chain_matrix(chain, d, cfg, geom))
             worst = max(worst, float(np.max(np.abs(res.r - r_o))),
                         float(np.max(np.abs(res.t - t_o))))
-    return CheckResult("oracle-agreement", worst <= tol,
-                       f"worst |amp| error {worst:.3e} over {n_chains} chains "
-                       f"(tol {tol:.0e})")
+    return worst, f"worst |amp| error {worst:.3e} over {n_chains} chains"
 
 
-def check_single_slab_closed_form(tol=1e-12):
+def check_single_slab_closed_form(geom, cfg, n_chains):
     """scatter(layer) equals r = i*zeta/(1 - i*zeta), t = 1/(1 - i*zeta)."""
-    geom = bragg_matched_geometry()
-    cfg = default_config()
     worst = 0.0
     for delta_g in (-31.0, -3.0, 0.0, 0.5, 4.0):
         z = zeta(1.215e11, delta_g * cfg.gamma, cfg)
@@ -72,11 +66,10 @@ def check_single_slab_closed_form(tol=1e-12):
         worst = max(worst,
                     abs(res.r - 1j * z / (1.0 - 1j * z)),
                     abs(res.t - 1.0 / (1.0 - 1j * z)))
-    return CheckResult("single-slab-closed-form", worst <= tol,
-                       f"worst error {worst:.3e} (tol {tol:.0e})")
+    return worst, f"worst error {worst:.3e}"
 
 
-def check_long_chain(n_slabs=10_000, tol=1e-10, seed=DEFAULT_SEED):
+def check_long_chain(geom, cfg, n_chains):
     """A random 10^4-slab chain at one detuning, computed three ways.
 
     The scalar detuning star-folds the closed-form slabs pairwise (a tree)
@@ -84,12 +77,10 @@ def check_long_chain(n_slabs=10_000, tol=1e-10, seed=DEFAULT_SEED):
     pairwise fold; both must match the boundary-value oracle, and the
     mirrored chain must give the same T.
     """
-    rng = np.random.default_rng(seed + 1)
-    geom = bragg_matched_geometry()
-    cfg = default_config()
-    chain = SlabChain(rng.uniform(0.0, 2e9, n_slabs),
-                      rng.uniform(-2.0, 2.0, n_slabs) * cfg.gamma,
-                      rng.uniform(0.0, 1.0e-6, n_slabs))
+    rng = np.random.default_rng(DEFAULT_SEED + 1)
+    chain = SlabChain(rng.uniform(0.0, 2e9, 10_000),
+                      rng.uniform(-2.0, 2.0, 10_000) * cfg.gamma,
+                      rng.uniform(0.0, 1.0e-6, 10_000))
     delta = 0.7 * cfg.gamma
     tree = scatter(chain_matrix(chain, delta, cfg, geom))
     scan = scatter(chain_matrix(chain, np.array([delta]), cfg, geom))
@@ -99,107 +90,93 @@ def check_long_chain(n_slabs=10_000, tol=1e-10, seed=DEFAULT_SEED):
     d_oracle = max(abs(tree.r - r_o), abs(tree.t - t_o),
                    abs(scan.r[0] - r_o), abs(scan.t[0] - t_o))
     d_mirror = abs(t_mirror - tree.big_t)
-    return CheckResult("long-chain-10k", max(d_scan, d_oracle, d_mirror) <= tol,
-                       f"|tree - scan| = {d_scan:.3e}, |amp - oracle| = "
-                       f"{d_oracle:.3e}, |T - T_mirror| = {d_mirror:.3e} on "
-                       f"{n_slabs} slabs (tol {tol:.0e})")
+    return max(d_scan, d_oracle, d_mirror), \
+        f"|tree - scan| = {d_scan:.3e}, |amp - oracle| = {d_oracle:.3e}, " \
+        f"|T - T_mirror| = {d_mirror:.3e} on {chain.n_slabs} slabs"
 
 
-def check_lossless_sum(tol=1e-12, seed=DEFAULT_SEED):
+def check_lossless_sum(geom, cfg, n_chains):
     """R + T = 1 for chains with artificially real zeta."""
-    rng = np.random.default_rng(seed + 2)
-    geom = bragg_matched_geometry()
+    rng = np.random.default_rng(DEFAULT_SEED + 2)
     m = identity_matrix()
     for zr, g in zip(rng.uniform(-0.05, 0.05, 300), rng.uniform(0, 1e-6, 300)):
         m = matmul2(m, layer_matrix(float(zr)))
         m = matmul2(m, gap_matrix(float(g), geom.k_brg, geom.beta_i))
     res = scatter(m)
     err = abs(res.big_r + res.big_t - 1.0)
-    return CheckResult("lossless-sum", err <= tol,
-                       f"|R + T - 1| = {err:.3e} for real-zeta chain (tol {tol:.0e})")
+    return err, f"|R + T - 1| = {err:.3e} for real-zeta chain"
 
 
-def check_reciprocity(tol=1e-10, seed=DEFAULT_SEED):
+def check_reciprocity(geom, cfg, n_chains):
     """Mirroring the chain leaves T unchanged."""
-    rng = np.random.default_rng(seed + 3)
-    geom = bragg_matched_geometry()
-    cfg = default_config()
+    rng = np.random.default_rng(DEFAULT_SEED + 3)
     worst = 0.0
     for _ in range(50):
-        chain = _random_chain(rng)
+        chain = _random_chain(rng, cfg)
         delta = float(rng.uniform(-8.0, 8.0)) * cfg.gamma
         a = scatter(chain_matrix(chain, delta, cfg, geom))
         b = scatter(chain_matrix(chain.mirrored(), delta, cfg, geom))
         worst = max(worst, abs(a.big_t - b.big_t))
-    return CheckResult("reciprocity", worst <= tol,
-                       f"worst |T - T_mirror| = {worst:.3e} (tol {tol:.0e})")
+    return worst, f"worst |T - T_mirror| = {worst:.3e}"
 
 
-def check_passivity(seed=DEFAULT_SEED):
-    """Physical chains never amplify: R <= 1, T <= 1, A >= -1e-9."""
-    rng = np.random.default_rng(seed + 4)
-    geom = bragg_matched_geometry()
-    cfg = default_config()
-    ok = True
-    worst_a = 0.0
-    for _ in range(100):
-        chain = _random_chain(rng)
-        delta = rng.uniform(-10.0, 10.0, 7) * cfg.gamma
-        res = scatter(chain_matrix(chain, delta, cfg, geom))
-        ok &= bool(np.all(res.big_r <= 1.0 + 1e-12)
-                   and np.all(res.big_t <= 1.0 + 1e-12))
-        worst_a = min(worst_a, float(np.min(res.big_a)))
-    ok &= worst_a >= -1e-9
-    return CheckResult("passivity", ok, f"min A = {worst_a:.3e} (floor -1e-9)")
+def check_passivity(geom, cfg, n_chains):
+    """Physical chains never amplify: R <= 1 + 1e-12, T <= 1 + 1e-12 and
+    the gain -A at most the row's tolerance; a NaN fails."""
+    rng = np.random.default_rng(DEFAULT_SEED + 4)
+    results = [scatter(chain_matrix(_random_chain(rng, cfg),
+                                    rng.uniform(-10.0, 10.0, 7) * cfg.gamma,
+                                    cfg, geom))
+               for _ in range(100)]
+    max_r = float(np.max([res.big_r for res in results]))
+    max_t = float(np.max([res.big_t for res in results]))
+    min_a = float(np.min([res.big_a for res in results]))
+    bounded = max_r <= 1.0 + 1e-12 and max_t <= 1.0 + 1e-12
+    return -min_a if bounded else math.inf, \
+        f"max R = {max_r:.3e}, max T = {max_t:.3e} (each <= 1 + 1e-12), " \
+        f"gain -min A = {-min_a:.3e}"
 
 
-def check_thin_grating(tol=0.01):
+def check_thin_grating(geom, cfg, n_chains):
     """R(2N)/R(N) = 4 for weak lattices at the exact Bragg phase."""
-    geom = bragg_matched_geometry()
-    cfg = single_line_config()
+    line = single_line_config()
     sd = 1e-4 / (1.5 * geom.lambda_brg**2 / (2.0 * math.pi))  # |zeta| = 1e-4
     half = geom.lambda_dip / 2.0
     worst = 0.0
     for n in (10, 20, 50):
-        r1 = scatter(chain_matrix(SlabChain([sd], [0.0], [half], periods=n),
-                                  0.0, cfg, geom)).big_r
-        r2 = scatter(chain_matrix(SlabChain([sd], [0.0], [half], periods=2 * n),
-                                  0.0, cfg, geom)).big_r
+        r1, r2 = (scatter(chain_matrix(SlabChain([sd], [0.0], [half], periods=p),
+                                       0.0, line, geom)).big_r for p in (n, 2 * n))
         worst = max(worst, abs(r2 / r1 - 4.0) / 4.0)
-    return CheckResult("thin-grating-quadratic", worst <= tol,
-                       f"worst |ratio/4 - 1| = {worst:.3e} (tol {tol:.0e})")
+    return worst, f"worst |ratio/4 - 1| = {worst:.3e}"
 
 
-def check_power_path(tol=1e-10):
+def check_power_path(geom, cfg, n_chains):
     """Star powers of the cell agree with the flat chain's scan in runs."""
-    geom = bragg_matched_geometry()
-    cfg = default_config()
     chain = SlabChain([1.215e11], [0.0], [geom.lambda_dip / 2.0], periods=613)
     delta = np.array([-2.0, 0.0, 1.0]) * cfg.gamma
     fast = chain_matrix(chain, delta, cfg, geom)
     slow = chain_matrix(chain.repeated(), delta, cfg, geom)
     err = float(np.max(np.abs(fast - slow)) / np.max(np.abs(slow)))
-    return CheckResult("periodic-fast-path", err <= tol,
-                       f"relative deviation {err:.3e} (tol {tol:.0e})")
+    return err, f"relative deviation {err:.3e}"
 
 
-ALL_CHECKS = (
-    check_single_slab_closed_form,
-    check_long_chain,
-    check_lossless_sum,
-    check_reciprocity,
-    check_passivity,
-    check_thin_grating,
-    check_power_path,
-    check_oracle_agreement,
+CHECKS = (
+    ("single-slab-closed-form", 1e-12, check_single_slab_closed_form),
+    ("long-chain-10k", 1e-10, check_long_chain),
+    ("lossless-sum", 1e-12, check_lossless_sum),
+    ("reciprocity", 1e-10, check_reciprocity),
+    ("passivity", 1e-9, check_passivity),
+    ("thin-grating-quadratic", 1e-2, check_thin_grating),
+    ("periodic-fast-path", 1e-10, check_power_path),
+    ("oracle-agreement", 1e-10, check_oracle_agreement),
 )
 
 
 def run_verification(n_chains: int = 500) -> list[CheckResult]:
+    geom, cfg = bragg_matched_geometry(), default_config()
     results = []
-    for check in ALL_CHECKS:
-        if check is check_oracle_agreement:
-            results.append(check(n_chains=n_chains))
-        else:
-            results.append(check())
+    for name, tol, check in CHECKS:
+        deviation, detail = check(geom, cfg, n_chains)
+        results.append(CheckResult(name, deviation <= tol,
+                                   f"{detail} (tol {tol:.0e})"))
     return results

@@ -12,7 +12,7 @@ from scipy.constants import hbar, k as k_B
 
 import braggstack as bs
 from braggstack.cli import main as cli_main
-from braggstack.verify import check_oracle_agreement
+from braggstack.verify import CHECKS
 
 
 def report(criterion: str, passed: bool, detail: str) -> bool:
@@ -86,9 +86,11 @@ def test_03_engine_exactness(cfg, geom):
                   f"R+T-1 {loss_err:.2e} (1e-12)")
 
 
-def test_04_oracle_equivalence():
-    res = check_oracle_agreement(n_chains=500, tol=1e-10)
-    assert report("4 oracle equivalence", res.passed, res.detail)
+def test_04_oracle_equivalence(cfg, geom):
+    name, tol, check = CHECKS[-1]
+    assert (name, tol) == ("oracle-agreement", 1e-10)
+    worst, detail = check(geom, cfg, 500)
+    assert report("4 oracle equivalence", worst <= tol, f"{detail} (tol {tol:.0e})")
 
 
 def test_05_thin_grating_quadratic(cfg1, geom):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,11 +139,77 @@ def test_cli_files_equal_in_memory_renders(tmp_path, command):
         assert (tmp_path / name).read_bytes() == data, name
 
 
+VERIFY_ROWS = [
+    ("single-slab-closed-form", 1e-12),
+    ("long-chain-10k", 1e-10),
+    ("lossless-sum", 1e-12),
+    ("reciprocity", 1e-10),
+    ("passivity", 1e-9),
+    ("thin-grating-quadratic", 1e-2),
+    ("periodic-fast-path", 1e-10),
+    ("oracle-agreement", 1e-10),
+]
+
+
+def test_verify_rows_keep_their_names_order_and_tolerances():
+    # a loosened tolerance, or a dropped or reordered check, fails here
+    assert [(name, tol) for name, tol, _ in verify.CHECKS] == VERIFY_ROWS
+
+
 def test_verify_command_passes(capsys):
     assert main(["verify", "--chains", "30"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 8
-    assert "[FAIL]" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == \
+        [f"[PASS] {name}" for name, _ in VERIFY_ROWS]
+    assert lines[-1] == "all 8 checks passed"
+    assert "over 30 chains (tol 1e-10)" in lines[-2]
+
+
+def test_verify_row_over_its_tolerance_fails_and_the_rest_still_run(
+        monkeypatch, capsys):
+    name, tol, _ = verify.CHECKS[0]
+    forced = [(name, tol, lambda *args: (2 * tol, "forced"))]
+    monkeypatch.setattr(verify, "CHECKS", (*forced, *verify.CHECKS[1:]))
+    assert main(["verify", "--chains", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"[FAIL] {name}: forced (tol 1e-12)"
+    assert [line.split(":")[0] for line in lines[1:-1]] == \
+        [f"[PASS] {name}" for name, _ in VERIFY_ROWS[1:]]
+    assert lines[-1] == "1 of 8 checks failed"
+
+
+@pytest.mark.parametrize("r, a, passed", [
+    (1.0 + 1e-12, -1e-9, True),  # on both bounds
+    (1.0 + 2e-12, 0.0, False),
+    (1.0, -2e-9, False),
+    (np.nan, 0.0, False),
+    (1.0, np.nan, False),
+])
+def test_passivity_keeps_its_three_bounds(monkeypatch, geom, cfg, r, a, passed):
+    # R and T at most 1 + 1e-12 in the check, A at least -tol in the table;
+    # the first chain is benign, so a value seen later must count
+    calls = []
+
+    def scatter(m):
+        n, first = np.shape(m)[-1], not calls
+        calls.append(m)
+        return SimpleNamespace(big_r=np.full(n, 0.5 if first else r),
+                               big_t=np.full(n, 0.5),
+                               big_a=np.full(n, 0.0 if first else a))
+
+    monkeypatch.setattr(verify, "scatter", scatter)
+    (_, tol, check), = [row for row in verify.CHECKS if row[0] == "passivity"]
+    deviation, detail = check(geom, cfg, 0)
+    assert (deviation <= tol) is passed
+    assert "max R" in detail and "max T" in detail and "min A" in detail
+
+
+def test_verify_rejects_a_config(capsys):
+    # verify builds fixed seeded chains and reads no configuration
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--chains", "3", "--config", "/nonexistent/run.cfg"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("chains", ["-3", "0", "many"])
@@ -153,11 +220,12 @@ def test_verify_rejects_non_positive_chains(chains, capsys):
     assert "--chains" in capsys.readouterr().err
 
 
-def test_long_chain_check_compares_tree_scan_oracle_and_mirror(monkeypatch):
-    res = verify.check_long_chain(n_slabs=2000)
-    assert res.passed
-    assert "tree - scan" in res.detail and "oracle" in res.detail \
-        and "T_mirror" in res.detail
+def test_long_chain_check_compares_tree_scan_oracle_and_mirror(monkeypatch, geom,
+                                                              cfg):
+    deviation, detail = verify.check_long_chain(geom, cfg, 0)
+    assert deviation <= 1e-10
+    assert "tree - scan" in detail and "oracle" in detail \
+        and "T_mirror" in detail and "on 10000 slabs" in detail
     # a grid path that scatters the wrong chain (here the mirrored one, same
     # T, other r) fails the check
     chain_matrix = verify.chain_matrix
@@ -167,7 +235,7 @@ def test_long_chain_check_compares_tree_scan_oracle_and_mirror(monkeypatch):
                             *args)
 
     monkeypatch.setattr(verify, "chain_matrix", broken)
-    assert not verify.check_long_chain(n_slabs=2000).passed
+    assert verify.check_long_chain(geom, cfg, 0)[0] > 1e-10
 
 
 def test_config_error_reported(tmp_path, capsys):

@@ -224,7 +224,23 @@ def test_read_csv_names_the_line_of_a_ragged_row(tmp_path, rows, line, cells):
 def test_read_csv_names_the_file_of_a_bad_cell(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x,y\n1,2\n3,four\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 3, column 2 (y): 'four' is not a number")):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("rows, line, column, cell", [
+    ("1,2\n3,x\n", 5, "2 (y)", "'x'"),
+    ("1,2\n3,4\n5,6x", 6, "2 (y)", "'6x'"),  # no final newline
+    ("1_0,2\n", 4, "1 (x)", "'1_0'"),
+    ("1,2\n3,\n", 5, "2 (y)", "''"),
+])
+def test_read_csv_names_the_line_column_and_text_of_a_bad_cell(
+        tmp_path, rows, line, column, cell):
+    path = tmp_path / "t.csv"
+    path.write_text("# a = 1\n\nx,y\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line {line}, column {column}: {cell} is not a number")):
         read_csv(path)
 
 
