@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SlabChain
+from .experiments import detuning_grid
 from .geometry import LatticeGeometry, bragg_angle, hbar, k_B
 from .models import ThermalModelConfig, perfect_lattice, sequential_lattice, \
     two_component_lattice, POTENTIAL_FORMS
@@ -55,7 +56,10 @@ def _finite(value, raw, line):
 
 
 def _number(raw, line, values=None, kind=float):
+    """A plain number in the syntax of quantities: no '_', nan or inf."""
     try:
+        if not re.fullmatch(r"[+-]?\d+" if kind is int else _NUMBER, raw):
+            raise ValueError(raw)
         value = kind(raw)
     except ValueError:
         what = "integer" if kind is int else "number"
@@ -226,9 +230,8 @@ def _echo_lines(raw, lines, values):
 
 
 # Sections and their keys in file order; a section's values, in key order,
-# are the fields of its settings object (the grid and atom_numbers triples
-# fill three fields each).  `echo` maps (raw, value, values) to the text
-# recorded in the output metadata; None records raw as written.
+# are the fields of its settings object.  `echo` maps (raw, value, values)
+# to the text recorded in the output metadata; None records raw as written.
 _TABLE = {
     "geometry": (
         # key, default, parse, echo, doc
@@ -309,25 +312,12 @@ class ModelSettings:
     stark: bool
     potential: str
 
-    def build_chain(self, geom: LatticeGeometry) -> SlabChain:
-        if self.kind == "perfect":
-            return perfect_lattice(self.n, self.n_s, geom)
-        if self.kind == "sequential":
-            cfg = ThermalModelConfig(self.n, self.n_s, self.n_ss, geom.T,
-                                     geom.U0, self.stark, self.potential)
-            return sequential_lattice(cfg, geom)
-        return two_component_lattice(self.n, self.f_dw, self.n_s, self.n_ss, geom)
-
 
 @dataclass(frozen=True)
 class ScanSettings:
-    grid_start: float
-    grid_stop: float
-    grid_points: int
+    grid: tuple
     delta_lambdas: tuple
-    atom_start: float
-    atom_stop: float
-    atom_points: int
+    atoms: tuple
     samples_per_gap: int
     profile_delta: float
     eta: float
@@ -335,11 +325,11 @@ class ScanSettings:
     out: str
 
     def detuning_grid(self) -> np.ndarray:
-        return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
+        return detuning_grid(*self.grid)
 
     def atom_numbers(self) -> np.ndarray:
-        return np.logspace(math.log10(self.atom_start),
-                           math.log10(self.atom_stop), self.atom_points)
+        start, stop, points = self.atoms
+        return np.logspace(math.log10(start), math.log10(stop), points)
 
 
 @dataclass(frozen=True)
@@ -351,7 +341,14 @@ class RunConfig:
     echo: dict
 
     def build_chain(self, geom: LatticeGeometry | None = None) -> SlabChain:
-        return self.model.build_chain(self.geometry if geom is None else geom)
+        m, geom = self.model, self.geometry if geom is None else geom
+        if m.kind == "perfect":
+            return perfect_lattice(m.n, m.n_s, geom)
+        if m.kind == "sequential":
+            cfg = ThermalModelConfig(m.n, m.n_s, m.n_ss, geom.T, geom.U0,
+                                     m.stark, m.potential)
+            return sequential_lattice(cfg, geom)
+        return two_component_lattice(m.n, m.f_dw, m.n_s, m.n_ss, geom)
 
 
 def _read_entries(text: str) -> dict:
@@ -412,9 +409,8 @@ def parse_config(text: str) -> RunConfig:
             fields[section].append(value)
     geometry = LatticeGeometry(*fields["geometry"])
     response = AtomResponseConfig(*fields["response"], geometry.lambda_brg)
-    grid, delta_lambdas, atoms, *rest = fields["scan"]
-    scan = ScanSettings(*grid, delta_lambdas, *atoms, *rest)
-    return RunConfig(geometry, response, ModelSettings(*fields["model"]), scan, echo)
+    return RunConfig(geometry, response, ModelSettings(*fields["model"]),
+                     ScanSettings(*fields["scan"]), echo)
 
 
 def default_config_text() -> str:

@@ -27,6 +27,7 @@ from .response import AtomResponseConfig, zeta
 
 DEFAULT_GRID = (-40.0, 15.0, 1101)
 FILLED_PERIODS = 10_000  # antinodes populated in the reference trap
+ORACLE_MAX_SLABS = 250_000  # the band and its LU take ~0.4 KB per slab
 GRID_CHUNK = 8192  # grid points per engine call in a sweep
 
 
@@ -298,12 +299,13 @@ def solve_boundary_value(chain: SlabChain, delta_brg: float,
     """
     from scipy.linalg import solve_banded  # only the oracle needs scipy
 
-    flat = chain.repeated()
-    n = flat.n_slabs
+    n = chain.total_slabs
+    if n > ORACLE_MAX_SLABS:  # checked before the chain is tiled
+        raise OracleError(f"boundary-value oracle limited to {ORACLE_MAX_SLABS} "
+                          f"slabs, got {n}")
     if n == 0:
         return 0.0 + 0.0j, 1.0 + 0.0j
-    if n > 10_000:
-        raise OracleError("boundary-value oracle limited to 10^4 slabs")
+    flat = chain.repeated()
     zs = np.atleast_1d(zeta(flat.surface_density,
                             float(delta_brg) - flat.stark_shift, cfg))
     k_z = geom.k_brg * math.cos(geom.beta_i)

@@ -116,9 +116,6 @@ class DerivedGeometry:
     sigma_r: float
     f_dw: float
     n_s: float
-    k_dip: float
-    k_brg: float
-    delta_lambda_dip: float
 
 
 @dataclass(frozen=True)
@@ -174,22 +171,13 @@ class LatticeGeometry:
             sigma_r=sigma_r,
             f_dw=debye_waller(sigma_z, self.k_dip),
             n_s=effective_layers(sigma_r, self.lambda_dip, self.beta_i),
-            k_dip=self.k_dip,
-            k_brg=self.k_brg,
-            delta_lambda_dip=self.delta_lambda_dip,
         )
 
 
-def bragg_matched_geometry(
-    lambda_dip: float = 810e-9,
-    lambda_brg: float = 780e-9,
-    U0: float = None,
-    T: float = None,
-    w_dip: float = 220e-6,
-) -> LatticeGeometry:
+def bragg_matched_geometry(*, U0: float = None, T: float = None) -> LatticeGeometry:
     """Geometry with beta_i set on the Bragg condition for the two wavelengths.
 
-    Defaults follow the reference setup: 810/780 nm, U0 = k_B*500uK/hbar,
+    The reference setup: 810/780 nm, U0 = k_B*500uK/hbar,
     k_B*T = 0.4*hbar*U0, a 220 um trap waist.
     """
     if U0 is None:
@@ -197,10 +185,10 @@ def bragg_matched_geometry(
     if T is None:
         T = temperature_for_depth_fraction(0.4, U0)
     return LatticeGeometry(
-        lambda_dip=lambda_dip,
-        lambda_brg=lambda_brg,
-        beta_i=bragg_angle(lambda_brg, lambda_dip),
+        lambda_dip=810e-9,
+        lambda_brg=780e-9,
+        beta_i=bragg_angle(780e-9, 810e-9),
         U0=U0,
         T=T,
-        w_dip=w_dip,
+        w_dip=220e-6,
     )

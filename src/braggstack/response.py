@@ -64,14 +64,13 @@ class AtomResponseConfig:
             raise ValueError(f"line strengths must sum to 1, got {total}")
 
 
-def single_line_config(gamma: float = GAMMA_RB85_D2, lambda_brg: float = 780e-9,
-                       delta_f: float = 0.0) -> AtomResponseConfig:
+def single_line_config() -> AtomResponseConfig:
     """One unit-strength line; handy for symmetry tests and clean limits."""
-    return AtomResponseConfig(gamma, (SpectralLine(delta_f, 1.0),), lambda_brg)
+    return AtomResponseConfig(GAMMA_RB85_D2, (SpectralLine(0.0, 1.0),), 780e-9)
 
 
-def default_config(lambda_brg: float = 780e-9) -> AtomResponseConfig:
-    return AtomResponseConfig(GAMMA_RB85_D2, rb85_d2_f3_lines(), lambda_brg)
+def default_config() -> AtomResponseConfig:
+    return AtomResponseConfig(GAMMA_RB85_D2, rb85_d2_f3_lines(), 780e-9)
 
 
 def zeta_prefactor(cfg: AtomResponseConfig) -> float:

@@ -26,6 +26,7 @@ SPECTRUM_COLUMNS = ("delta_over_gamma", "R", "T", "A", "phi_rad")
 BLOCK_ROWS = 1 << 15  # rows per formatted text block (~2 MB of text)
 _HEADER = re.compile(r"^([^#\n].*)\n", re.M)  # the first row not blank or "#"
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+_BLANK_CELL = r"(?m)(?:^|,)[ \t]+(?:,|$)"  # numpy reads such a cell as -1
 
 
 def format_float(x: float) -> str:
@@ -114,6 +115,8 @@ def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
 
 
 def _parses(text: str, cells: int) -> bool:
+    if re.search(_BLANK_CELL, text):
+        return False
     try:
         return np.fromstring(text, sep=",").size == cells
     except ValueError:
@@ -160,6 +163,8 @@ def read_csv(path):
             seps.split(b"\n"), first) if s != row)
         raise ValueError(f"{path}: line {line} has {cells} cells, not {len(names)}")
     try:
+        if (" " in body or "\t" in body) and re.search(_BLANK_CELL, body):
+            raise ValueError("a cell holds only blanks")
         data = np.fromstring(body.replace("\n", ","), sep=",").reshape(-1, len(names))
     except ValueError as exc:
         raise ValueError(f"{path}: {_first_bad_cell(body, names, first) or exc}") from None

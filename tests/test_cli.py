@@ -285,9 +285,11 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # only the boundary-value oracle needs scipy, and imports it when called
-    code = ("import sys, braggstack.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # only the boundary-value oracle needs scipy, and only the CSV formatting
+    # pool multiprocessing: each is imported when called, so that every CLI
+    # process starts without them
+    code = ("import sys, braggstack.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

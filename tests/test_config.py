@@ -16,7 +16,8 @@ def test_empty_config_uses_all_defaults():
     assert run.geometry.lambda_brg == pytest.approx(780e-9)
     assert math.degrees(run.geometry.beta_i) == pytest.approx(15.642, abs=1e-3)
     assert run.model.kind == "two_component"
-    assert run.scan.grid_points == 1101
+    assert run.scan.grid == (-40.0, 15.0, 1101)
+    assert run.scan.detuning_grid().tobytes() == bs.detuning_grid().tobytes()
     # every schema key is echoed, defaults included
     assert run.echo["geometry.w_dip"] == "220 um"
     assert run.echo["scan.eta"] == "0.16"
@@ -233,6 +234,12 @@ INVALID_VALUES = [
     ("[model]\nn_s = 0\n", 2),
     ("[model]\n\nn_ss = 0\n", 3),
     ("[scan]\np_i = -1 uW\n", 2),
+    # plain numbers take the syntax of quantities: no '_' digit separators
+    ("[scan]\neta = 0_1\n", 2),
+    ("[scan]\nprofile_delta = 1_0\n", 2),
+    ("[model]\nn_s = 1_000\n", 2),
+    ("[scan]\ngrid = -40 15 1_101\n", 2),
+    ("[geometry]\nlambda_dip = 8_10 nm\n", 2),
 ]
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.experiments import GRID_CHUNK, _chunked, _scattered
+from braggstack.experiments import GRID_CHUNK, ORACLE_MAX_SLABS, OracleError, \
+    _chunked, _scattered
 
 
 def test_spectrum_zero_density(cfg, geom):
@@ -407,6 +408,30 @@ def test_oracle_handles_periodic_chains(cfg, geom):
     res = bs.scatter(bs.chain_matrix(chain, 1.0 * cfg.gamma, cfg, geom))
     r_o, t_o = bs.solve_boundary_value(chain, 1.0 * cfg.gamma, cfg, geom)
     assert abs(res.r - r_o) < 1e-10 and abs(res.t - t_o) < 1e-10
+
+
+def test_oracle_matches_engine_past_ten_thousand_slabs(cfg, geom):
+    # the default cell at 2,000 periods (42,000 slabs), where T falls to
+    # 4.7e-20: the grid ends, the reflection peak and the transmission floor
+    chain = bs.two_component_lattice(3e17, 0.2, 2000, 20, geom)
+    assert chain.total_slabs == 42_000
+    delta = bs.detuning_grid() * cfg.gamma
+    res = bs.sweep_scatter(chain, delta, cfg, geom)
+    for k in sorted({0, delta.size - 1, int(np.argmax(res.big_r)),
+                     int(np.argmin(res.big_t))}):
+        r_o, t_o = bs.solve_boundary_value(chain, delta[k], cfg, geom)
+        assert max(abs(res.r[k] - r_o), abs(res.t[k] - t_o)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, periods", [(ORACLE_MAX_SLABS + 1, 1),
+                                        (2, ORACLE_MAX_SLABS // 2 + 1)])
+def test_oracle_names_the_slab_count_past_its_cap(cfg, geom, n, periods):
+    # refused before a periodic chain is tiled, with the count and the cap
+    chain = bs.SlabChain(np.full(n, 1e11), np.zeros(n), np.full(n, 4e-7),
+                         periods=periods)
+    with pytest.raises(OracleError, match=f"limited to {ORACLE_MAX_SLABS} slabs, "
+                                          f"got {chain.total_slabs}$"):
+        bs.solve_boundary_value(chain, 0.0, cfg, geom)
 
 
 def test_detected_powers_reference(cfg, geom):

@@ -111,8 +111,18 @@ def test_derived_geometry_bundle(geom):
     d = geom.derived()
     assert 0.0 <= d.f_dw <= 1.0
     assert d.n_s == pytest.approx(613.5, rel=1e-3)
-    assert d.k_dip == pytest.approx(2 * math.pi / geom.lambda_dip)
-    assert abs(d.delta_lambda_dip) < 1e-20
+    assert geom.k_dip == pytest.approx(2 * math.pi / geom.lambda_dip)
+    assert abs(geom.delta_lambda_dip) < 1e-20
+
+
+def test_bragg_matched_geometry_takes_depth_and_temperature_by_name():
+    # the wavelengths and waist are the reference setup's; an old positional
+    # call must fail rather than read 810e-9 as the trap depth
+    with pytest.raises(TypeError):
+        bs.bragg_matched_geometry(810e-9, 780e-9)
+    geom = bs.bragg_matched_geometry(U0=1e8, T=50e-6)
+    assert (geom.U0, geom.T) == (1e8, 50e-6)
+    assert (geom.lambda_dip, geom.lambda_brg, geom.w_dip) == (810e-9, 780e-9, 220e-6)
 
 
 def test_with_lattice_mismatch(geom):

@@ -234,6 +234,8 @@ def test_read_csv_names_the_file_of_a_bad_cell(tmp_path):
     ("1,2\n3,4\n5,6x", 6, "2 (y)", "'6x'"),  # no final newline
     ("1_0,2\n", 4, "1 (x)", "'1_0'"),
     ("1,2\n3,\n", 5, "2 (y)", "''"),
+    ("1,2\n3, \n4,\t\n", 5, "2 (y)", "' '"),  # numpy reads a blank cell as -1
+    ("1,2\n3,4\n\t,5\n", 6, "1 (x)", "'\\t'"),
 ])
 def test_read_csv_names_the_line_column_and_text_of_a_bad_cell(
         tmp_path, rows, line, column, cell):
