@@ -11,6 +11,7 @@ command's compute function returns.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -56,6 +57,9 @@ def _scan_atoms(run):
     if run.model.kind != "two_component":
         raise ConfigError(f"scan-atoms needs [model] kind = two_component, "
                           f"got kind = {run.model.kind}")
+    if run.geometry.derived().sigma_r == 0.0:
+        raise ConfigError("scan-atoms needs [geometry] T > 0: at T = 0 the "
+                          "cloud has no radial width, so no atom density")
     numbers, max_r = saturation_scan(
         run.scan.atom_numbers(), run.geometry, run.response,
         n_s=run.model.n_s, f_dw=run.model.f_dw, n_ss=run.model.n_ss,
@@ -154,7 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not re.fullmatch(r"[0-9]+", text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 

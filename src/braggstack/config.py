@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SlabChain
-from .experiments import detuning_grid
+from .experiments import atom_number_to_density, detuning_grid
 from .geometry import LatticeGeometry, bragg_angle, hbar, k_B
 from .models import ThermalModelConfig, perfect_lattice, sequential_lattice, \
     two_component_lattice, POTENTIAL_FORMS
@@ -40,7 +40,7 @@ _FREQ_ANGULAR = {"rad/s": 1.0, "GHz": 2e9 * math.pi, "MHz": 2e6 * math.pi,
                  "kHz": 2e3 * math.pi, "Hz": 2.0 * math.pi}
 _ANGLE = {"deg": math.pi / 180.0, "rad": 1.0}  # math.radians' own factor
 
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 MODEL_KINDS = ("perfect", "sequential", "two_component")
 
@@ -58,7 +58,7 @@ def _finite(value, raw, line):
 def _number(raw, line, values=None, kind=float):
     """A plain number in the syntax of quantities: no '_', nan or inf."""
     try:
-        if not re.fullmatch(r"[+-]?\d+" if kind is int else _NUMBER, raw):
+        if not re.fullmatch(r"[+-]?[0-9]+" if kind is int else _NUMBER, raw):
             raise ValueError(raw)
         value = kind(raw)
     except ValueError:
@@ -196,13 +196,54 @@ def _triple(raw, line, values):
             _number(parts[2], line, kind=int))
 
 
-def _length_list(raw, line, values):
+def _geometry(values) -> LatticeGeometry:
+    return LatticeGeometry(*(values["geometry", key] for key, *_ in _TABLE["geometry"]))
+
+
+def _grid(raw, line, values):
+    start, stop, points = grid = _triple(raw, line, values)
+    if not (start < stop and points >= 2):
+        raise ConfigError("grid needs start < stop and at least 2 points", line)
+    # ends and span in rad/s: grid points are at most |start| + |stop| apart
+    _finite((abs(start) + abs(stop)) * values["response", "gamma"], raw, line)
+    return grid
+
+
+def _profile_delta(raw, line, values):
+    value = _number(raw, line)
+    _finite(value * values["response", "gamma"], raw, line)  # in rad/s
+    return value
+
+
+def _atom_numbers(raw, line, values):
+    """A log grid whose last number has a finite density in the run's cloud
+    (at T = 0 the cloud has no width, and scan-atoms refuses it)."""
+    start, stop, points = atoms = _triple(raw, line, values)
+    if not (0 < start < stop and points >= 2):
+        raise ConfigError("atom_numbers needs 0 < start < stop, points >= 2", line)
+    geom = _geometry(values)
+    if geom.derived().sigma_r > 0.0:
+        with np.errstate(over="ignore"):  # ScanSettings.atom_numbers' last number
+            last = np.power(10.0, math.log10(stop))
+            _finite(atom_number_to_density(last, geom), raw, line)
+    return atoms
+
+
+def _mismatches(raw, line, values):
+    """Lattice mismatches, each of which must keep lambda_dip >= lambda_brg."""
     parts = raw.split()
     if len(parts) < 2 or parts[-1] not in _LENGTH:
         raise ConfigError(f"expected 'v1 v2 ... unit', got {raw!r}", line)
     scale = _LENGTH[parts[-1]]
-    return tuple(_finite(_number(p, line) * scale, raw, line)
-                 for p in parts[:-1])
+    mismatches = tuple(_finite(_number(p, line) * scale, raw, line)
+                       for p in parts[:-1])
+    geom = _geometry(values)
+    try:
+        for dl in mismatches:
+            geom.with_lattice_mismatch(dl)
+    except ValueError as exc:
+        raise ConfigError(f"delta_lambda {dl!r} m: {exc}", line) from None
+    return mismatches
 
 
 _length = _check(_with_unit(_LENGTH, "length"), lambda v: v > 0.0,
@@ -264,19 +305,15 @@ _TABLE = {
          " | ".join(POTENTIAL_FORMS)),
     ),
     "scan": (
-        ("grid", "-40 15 1101",
-         _check(_triple, lambda g: g[0] < g[1] and g[2] >= 2,
-                "grid needs start < stop and at least 2 points"),
-         None, "detuning grid in Gamma: start stop points"),
-        ("delta_lambda", "0 nm", _length_list, None,
+        ("grid", "-40 15 1101", _grid, None,
+         "detuning grid in Gamma: start stop points"),
+        ("delta_lambda", "0 nm", _mismatches, None,
          "lattice mismatch list; read by scan-lattice only"),
-        ("atom_numbers", "1e5 4e7 13",
-         _check(_triple, lambda a: 0 < a[0] < a[1] and a[2] >= 2,
-                "atom_numbers needs 0 < start < stop, points >= 2"),
-         None, "log grid for scan-atoms: start stop points"),
+        ("atom_numbers", "1e5 4e7 13", _atom_numbers, None,
+         "log grid for scan-atoms: start stop points"),
         ("samples_per_gap", "64", _at_least(2, "samples_per_gap"), None,
          "field-profile sampling"),
-        ("profile_delta", "0", _number, None,
+        ("profile_delta", "0", _profile_delta, None,
          "field-profile detuning, units of Gamma"),
         ("eta", "0.16", _fraction("eta"), None,
          "probe/cloud overlap fraction for powers"),
@@ -407,7 +444,7 @@ def parse_config(text: str) -> RunConfig:
             value, raw = values[section, key], values.raw((section, key))[0]
             echo[f"{section}.{key}"] = raw if show is None else show(raw, value, values)
             fields[section].append(value)
-    geometry = LatticeGeometry(*fields["geometry"])
+    geometry = _geometry(values)
     response = AtomResponseConfig(*fields["response"], geometry.lambda_brg)
     return RunConfig(geometry, response, ModelSettings(*fields["model"]),
                      ScanSettings(*fields["scan"]), echo)

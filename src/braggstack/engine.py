@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeGeometry
-from .response import AtomResponseConfig, line_response, zeta_prefactor
+from .response import AtomResponseConfig, line_response, zeta, zeta_prefactor
 
 TransferMatrix = np.ndarray  # (..., 2, 2) complex
 
@@ -47,8 +47,8 @@ ZETA_BLOCK = 1 << 14
 # A grid scan of RUN_SLABS slabs or more runs RUNS runs of slabs side by side,
 # which saves RUNS - 1 of every RUNS numpy calls: a 12,600-slab scan over
 # 1101 points took ~0.7x the time of one run at 8 runs (2-vCPU VM), and
-# 4, 6, 12 or 16 runs were no faster.  Shorter chains keep one run and its
-# bits, the 613 flat slabs of verify's periodic-fast-path check among them.
+# 4, 6, 12 or 16 runs were no faster.  Shorter chains are one run of the
+# same scan, which keeps the bits of the written-out slab-by-slab scan.
 RUN_SLABS = 1024
 RUNS = 8
 # Field-profile samples per vectorized block: the default profile took the
@@ -260,19 +260,17 @@ def _run_order(n_slabs: int, runs: int) -> np.ndarray:
 
 
 def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
-                 order=None, runs: int = 1):
-    """zeta of slab j at detuning delta - stark_shift_j, slab by slab in
-    `order` (first to last by default; the _run_order of `runs` runs in a
-    scan), in (slabs,) + grid blocks of whole steps of `runs` slabs and at
-    most ZETA_BLOCK elements (one step at least).  The line sum is evaluated
-    once per distinct Stark shift and scaled by each slab's
-    -surface_density * prefactor: the bits of zeta over the broadcast."""
+                 order, runs: int):
+    """zeta of slab j at detuning delta - stark_shift_j, in the scan's
+    _run_order of `runs` runs, in (slabs,) + grid blocks of whole steps of
+    `runs` slabs and at most ZETA_BLOCK elements (one step at least).  The
+    line sum is evaluated once per distinct Stark shift and scaled by each
+    slab's -surface_density * prefactor: the bits of zeta over the broadcast."""
     col = (-1,) + (1,) * delta.ndim
     shifts, row = np.unique(chain.stark_shift, return_inverse=True)
     lines = line_response(delta - shifts.reshape(col), cfg)
     scale = -chain.surface_density.reshape(col) * zeta_prefactor(cfg)
-    if order is not None:
-        row, scale = row[order], scale[order]
+    row, scale = row[order], scale[order]
     width = runs * max(1, ZETA_BLOCK // max(1, runs * delta.size))
     for j0 in range(0, row.size, width):
         zs = lines[row[j0:j0 + width]]
@@ -283,25 +281,22 @@ def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
 def _scan(chain, delta, cfg, g):
     """(r, t, r', t') of every run of the chain over a grid, (runs,) + grid
     each, for _fold.  Chains of RUN_SLABS slabs or more are cut into RUNS runs
-    of consecutive slabs, scanned side by side, slab by slab; shorter chains
-    are one run.  The number of runs depends on the slab count only, so grid
-    slices carry the bits of the whole grid.  No product is written in place:
-    numpy's in-place complex product takes another loop on one-element
-    arrays, whose bits differ in the last place.  The state is six separate
-    arrays: as one (6, runs, ...) block a wide-grid pass peaked ~1.3 MB
-    higher."""
+    of consecutive slabs, shorter chains are one; the runs are scanned side by
+    side in _run_order, slab by slab.  The number of runs depends on the slab
+    count only, so grid slices carry the bits of the whole grid.  No product
+    is written in place: numpy's in-place complex product takes another loop
+    on one-element arrays, whose bits differ in the last place.  The state is
+    six separate arrays: as one (6, runs, ...) block a wide-grid pass peaked
+    ~1.3 MB higher."""
     runs = RUNS if chain.n_slabs >= RUN_SLABS else 1
     shape = (runs,) + delta.shape
     state = views = (*(np.zeros(shape, dtype=complex) for _ in range(4)),
                      *(np.ones(shape, dtype=complex) for _ in range(2)))
-    if runs == 1:  # slab order and scalar phases: ~5% faster on short cells
-        order, phases = None, zip(g, g * g)
-    else:
-        order = _run_order(chain.n_slabs, runs)
-        g = g[order].reshape((-1,) + (1,) * delta.ndim)
-        g2 = g * g
-        phases = ((g[j:j + runs], g2[j:j + runs])
-                  for j in range(0, chain.n_slabs, runs))
+    order = _run_order(chain.n_slabs, runs)
+    g = g[order].reshape((-1,) + (1,) * delta.ndim)
+    g2 = g * g
+    phases = ((g[j:j + runs], g2[j:j + runs])
+              for j in range(0, chain.n_slabs, runs))
     for zs in _zeta_blocks(chain, delta, cfg, order, runs):
         izs = 1j * zs
         for s in range(0, len(izs), runs):
@@ -328,7 +323,7 @@ def _scan(chain, delta, cfg, g):
 
 def _slabs(chain, delta, cfg, g):
     """Closed-form (r, t, r', t') of every slab at one detuning, (4, slabs)."""
-    iz = 1j * np.concatenate(list(_zeta_blocks(chain, delta, cfg)))
+    iz = 1j * zeta(chain.surface_density, delta - chain.stark_shift, cfg)
     q = 1.0 / (1.0 - iz)
     return np.stack((iz * q, g * q, iz * (g * g) * q, g * q))
 

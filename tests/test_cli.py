@@ -145,8 +145,7 @@ VERIFY_ROWS = [
     ("lossless-sum", 1e-12),
     ("reciprocity", 1e-10),
     ("passivity", 1e-9),
-    ("thin-grating-quadratic", 1e-2),
-    ("periodic-fast-path", 1e-10),
+    ("bragg-phase-closed-form", 1e-15),
     ("oracle-agreement", 1e-10),
 ]
 
@@ -161,7 +160,7 @@ def test_verify_command_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == \
         [f"[PASS] {name}" for name, _ in VERIFY_ROWS]
-    assert lines[-1] == "all 8 checks passed"
+    assert lines[-1] == "all 7 checks passed"
     assert "over 30 chains (tol 1e-10)" in lines[-2]
 
 
@@ -175,7 +174,7 @@ def test_verify_row_over_its_tolerance_fails_and_the_rest_still_run(
     assert lines[0] == f"[FAIL] {name}: forced (tol 1e-12)"
     assert [line.split(":")[0] for line in lines[1:-1]] == \
         [f"[PASS] {name}" for name, _ in VERIFY_ROWS[1:]]
-    assert lines[-1] == "1 of 8 checks failed"
+    assert lines[-1] == "1 of 7 checks failed"
 
 
 @pytest.mark.parametrize("r, a, passed", [
@@ -204,6 +203,16 @@ def test_passivity_keeps_its_three_bounds(monkeypatch, geom, cfg, r, a, passed):
     assert "max R" in detail and "max T" in detail and "min A" in detail
 
 
+def test_bragg_phase_row_fails_on_nan(monkeypatch, geom, cfg):
+    # a NaN amplitude must not drop out of the row's maximum
+    scatter = verify.scatter
+    monkeypatch.setattr(verify, "scatter", lambda m: SimpleNamespace(
+        r=scatter(m).r * np.nan, t=scatter(m).t))
+    (_, tol, check), = [row for row in verify.CHECKS
+                        if row[0] == "bragg-phase-closed-form"]
+    assert not check(geom, cfg, 0)[0] <= tol
+
+
 def test_verify_rejects_a_config(capsys):
     # verify builds fixed seeded chains and reads no configuration
     with pytest.raises(SystemExit) as exit_:
@@ -212,7 +221,7 @@ def test_verify_rejects_a_config(capsys):
     assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("chains", ["-3", "0", "many"])
+@pytest.mark.parametrize("chains", ["-3", "0", "many", "\u0665\u0660\u0660"])
 def test_verify_rejects_non_positive_chains(chains, capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["verify", "--chains", chains])
@@ -265,6 +274,36 @@ def test_refused_scan_leaves_no_out_directory(tmp_path):
     out = tmp_path / "x" / "sub"
     assert main(["scan-atoms", "--config", str(path), "--out", str(out)]) == 2
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("scan-lattice", "delta_lambda = -31 nm"),  # lambda_dip below lambda_brg
+    ("profile", "profile_delta = 1e301"),  # inf in rad/s
+    ("spectrum", "grid = -1e301 0 5"),
+    ("spectrum", "grid = -1e308 1e308 11"),  # the grid's step is inf
+    ("scan-atoms", "atom_numbers = 1e300 1e308 3"),  # the density is inf
+])
+def test_value_that_parses_but_cannot_run_is_refused_at_its_line(
+        tmp_path, capsys, command, entry):
+    # each parses as a number, but the command cannot run with it
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[scan]\n{entry}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 2: ")
+    assert not out.exists()
+
+
+def test_scan_atoms_refuses_a_cloud_at_zero_temperature(tmp_path, capsys):
+    # at T = 0 the cloud has no radial width, so N atoms have no density;
+    # the other commands take T = 0
+    path = tmp_path / "run.cfg"
+    path.write_text(FAST_CONFIG + "[geometry]\nT = 0 K\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["scan-atoms", "--config", str(path), "--out", str(out)]) == 2
+    assert "needs [geometry] T > 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
 
 
 def test_engine_error_leaves_no_out_directory(tmp_path):

@@ -240,6 +240,11 @@ INVALID_VALUES = [
     ("[model]\nn_s = 1_000\n", 2),
     ("[scan]\ngrid = -40 15 1_101\n", 2),
     ("[geometry]\nlambda_dip = 8_10 nm\n", 2),
+    # digits are ASCII only: Arabic-Indic digits are Unicode decimals too
+    ("[model]\nn_s = \u0666\u0660\n", 2),
+    ("[scan]\neta = 0.\u0661\n", 2),
+    ("[geometry]\nlambda_dip = \u0668\u0661\u0660 nm\n", 2),
+    ("[scan]\ngrid = -40 15 \u0661\u0660\u0661\n", 2),
 ]
 
 

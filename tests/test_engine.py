@@ -370,7 +370,7 @@ def test_engine_rejects_non_finite_detunings(cfg, geom):
 
 
 def _slab_zetas(chain, delta, cfg):
-    blocks = list(_zeta_blocks(chain, delta, cfg))
+    blocks = list(_zeta_blocks(chain, delta, cfg, _run_order(chain.n_slabs, 1), 1))
     assert all(b.size <= max(ZETA_BLOCK, delta.size) for b in blocks)
     return np.concatenate(blocks)
 
@@ -652,6 +652,28 @@ def test_star_power_equals_sequential_scan(cfg, geom, slabs, periods, deltas):
     slow = bs.scatter(bs.chain_matrix(chain.repeated(), delta, cfg, geom))
     assert np.max(np.abs(fast.r - slow.r)) < 1e-10
     assert np.max(np.abs(fast.t - slow.t)) < 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10**6), density=st.floats(0.0, 3e11),
+       delta=st.floats(-40.0, 15.0), single_line=st.booleans())
+def test_bragg_phase_star_power_has_the_closed_form(cfg, cfg1, geom, n, density,
+                                                    delta, single_line):
+    # N point layers whose gaps carry the Bragg phase phi ~ pi: the gap is -I
+    # and a layer I + i zeta K with K^2 = 0, so r_N = iN zeta / (1 - iN zeta)
+    # and t_N = e^{iN phi} / (1 - iN zeta) for every complex zeta.  Every
+    # such cell is a band edge, where rounding adds up linearly in N
+    response = cfg1 if single_line else cfg
+    half = geom.lambda_dip / 2.0
+    phi = geom.k_brg * half * math.cos(geom.beta_i)
+    chain = bs.SlabChain([density], [0.0], [half], periods=n)
+    d = delta * response.gamma
+    niz = n * 1j * bs.zeta(density, d, response)
+    r_n, t_n = niz / (1.0 - niz), np.exp(1j * (n * phi)) / (1.0 - niz)
+    for x in (d, np.array([d])):
+        res = bs.scatter(bs.chain_matrix(chain, x, response, geom))
+        assert np.all(np.abs(res.r - r_n) <= 1e-15 * n)
+        assert np.all(np.abs(res.t - t_n) <= 1e-15 * n)
 
 
 def _reference_profile(chain, delta, samples_per_gap, r, cfg, geom):
