@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, svg_blocks
+from braggstack.svgplot import Series, render_svg
 from braggstack.tableio import write_blocks, write_spectrum_csv
 
 out = Path(__file__).parent / "output"
@@ -33,11 +33,11 @@ chain = bs.two_component_lattice(3e17, 0.2, 600, 10, geom)
 table = bs.spectrum(chain, grid, cfg, geom, metadata={"label": "n=3e11 cm^-3"})
 write_spectrum_csv(table, out / "spectrum.csv")
 
-write_blocks(out / "spectrum_rta.svg", svg_blocks(
+write_blocks(out / "spectrum_rta.svg", [render_svg(
     [Series(grid, table.R, "R"),
      Series(grid, table.T, "T"),
      Series(grid, table.A, "A")],
-    "delta / Gamma", "coefficient"))
+    "delta / Gamma", "coefficient")])
 
 # %%
 # The dip only exists at high density.  Two orders of magnitude lower the
@@ -48,9 +48,9 @@ for n_cm3 in (3e9, 3e10, 1e11, 3e11):
     families.append(bs.spectrum(chain, grid, cfg, geom,
                                 metadata={"label": f"n={n_cm3:.0e} cm^-3"}))
 
-write_blocks(out / "spectrum_density_family.svg", svg_blocks(
+write_blocks(out / "spectrum_density_family.svg", [render_svg(
     [Series(t.delta_over_gamma, t.R, t.metadata["label"]) for t in families],
-    "delta / Gamma", "R"))
+    "delta / Gamma", "R")])
 
 center = np.argmin(np.abs(grid))
 print("on-resonance R vs density:")

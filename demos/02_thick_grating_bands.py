@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, svg_blocks
+from braggstack.svgplot import Series, render_svg
 from braggstack.tableio import write_blocks
 
 out = Path(__file__).parent / "output"
@@ -32,13 +32,13 @@ for n_s in (50, 200, 600, 2000):
     res = bs.sweep_scatter(chain, grid * cfg.gamma, cfg, geom)
     tables.append((n_s, res))
 
-write_blocks(out / "thick_grating_reflection.svg", svg_blocks(
+write_blocks(out / "thick_grating_reflection.svg", [render_svg(
     [Series(grid, res.big_r, f"N_s={n_s}") for n_s, res in tables],
-    "delta / Gamma", "R"))
+    "delta / Gamma", "R")])
 
-write_blocks(out / "thick_grating_absorption.svg", svg_blocks(
+write_blocks(out / "thick_grating_absorption.svg", [render_svg(
     [Series(grid, res.big_a, f"N_s={n_s}") for n_s, res in tables],
-    "delta / Gamma", "A"))
+    "delta / Gamma", "A")])
 
 # %%
 # At N_s = 2000 the lattice is opaque: T ~ 0 over a broad window, R near

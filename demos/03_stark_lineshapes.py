@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import spectrum_series, svg_blocks
+from braggstack.svgplot import render_svg, spectrum_series
 from braggstack.tableio import write_blocks
 
 out = Path(__file__).parent / "output"
@@ -36,7 +36,7 @@ for stark in (False, True):
     tables = bs.lattice_constant_scan(mismatches, build, grid, cfg, geom)
     tag = "on" if stark else "off"
     write_blocks(out / f"lattice_scan_stark_{tag}.svg",
-                 svg_blocks(spectrum_series(tables), "delta / Gamma", "R"))
+                 [render_svg(spectrum_series(tables), "delta / Gamma", "R")])
     peaks = {t.metadata["delta_lambda_nm"]: t.R.max() for t in tables}
     print(f"stark {tag}: peak R per mismatch (nm) =",
           {k: round(v, 4) for k, v in peaks.items()})

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, svg_blocks
+from braggstack.svgplot import Series, render_svg
 from braggstack.tableio import write_blocks, write_csv
 
 out = Path(__file__).parent / "output"
@@ -30,9 +30,9 @@ chain = bs.perfect_lattice(3e17, 40, geom)
 z, intensity = bs.field_profile(chain, 0.0, 64, cfg, geom)
 write_csv(out / "profile_ordered.csv",
           {"z_over_lambda_dip": z / geom.lambda_dip, "intensity": intensity})
-write_blocks(out / "profile_ordered.svg", svg_blocks(
+write_blocks(out / "profile_ordered.svg", [render_svg(
     [Series(z / geom.lambda_dip, intensity, "f_dw = 1")],
-    "z / lambda_dip", "I / I_in"))
+    "z / lambda_dip", "I / I_in")])
 
 res = bs.scatter(bs.chain_matrix(chain, 0.0, cfg, geom))
 print(f"ordered, on resonance: R={res.big_r:.3f} T={res.big_t:.3f} "
@@ -47,11 +47,11 @@ z, intensity = bs.field_profile(chain, 0.0, 32, cfg, geom)
 z_pd = bs.penetration_depth(3e17, f_dw, bs.cross_section(0.0, cfg))
 means = [intensity[(z >= p * half) & (z < (p + 1) * half)].mean()
          for p in range(150)]
-write_blocks(out / "profile_disordered.svg", svg_blocks(
+write_blocks(out / "profile_disordered.svg", [render_svg(
     [Series(z / geom.lambda_dip, intensity, "f_dw = 0.03"),
      Series((np.arange(150) + 0.5) * half / geom.lambda_dip,
             np.exp(-(np.arange(150) + 0.5) * half / z_pd), "Beer envelope")],
-    "z / lambda_dip", "I / I_in"))
+    "z / lambda_dip", "I / I_in")])
 print(f"disordered: penetration depth {z_pd * 1e6:.1f} um = "
       f"{2 * z_pd / geom.lambda_brg:.0f} layers")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, svg_blocks
+from braggstack.svgplot import Series, render_svg
 from braggstack.tableio import write_blocks
 
 out = Path(__file__).parent / "output"
@@ -36,9 +36,9 @@ for dl_nm, tag in ((0.0, "matched"), (0.8, "detuned")):
             print(f"{tag} lattice, f_dw={f_dw}: A(0)={res.big_a[center]:.3f} "
                   f"max R={res.big_r.max():.3f}")
     write_blocks(out / f"reflection_{tag}.svg",
-                 svg_blocks(r_series, "delta / Gamma", "R"))
+                 [render_svg(r_series, "delta / Gamma", "R")])
     write_blocks(out / f"absorption_{tag}.svg",
-                 svg_blocks(a_series, "delta / Gamma", "A"))
+                 [render_svg(a_series, "delta / Gamma", "A")])
 
 # %%
 # Erasing order monotonically kills the coherent reflection.
@@ -47,6 +47,6 @@ f_values = np.linspace(0, 1, 11)
 r_on = [bs.scatter(bs.chain_matrix(
     bs.two_component_lattice(3e17, f, 600, 10, geom), 0.0, cfg, geom)).big_r
     for f in f_values]
-write_blocks(out / "reflection_vs_fdw.svg", svg_blocks(
-    [Series(f_values, np.array(r_on), "R(0)")], "f_dw", "R on resonance"))
+write_blocks(out / "reflection_vs_fdw.svg", [render_svg(
+    [Series(f_values, np.array(r_on), "R(0)")], "f_dw", "R on resonance")])
 print(f"outputs in {out}")

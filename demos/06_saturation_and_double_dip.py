@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, svg_blocks
+from braggstack.svgplot import Series, render_svg
 from braggstack.tableio import write_blocks, write_csv
 
 out = Path(__file__).parent / "output"
@@ -29,8 +29,8 @@ numbers = np.logspace(5, np.log10(4e7), 17)
 numbers, max_r = bs.saturation_scan(numbers, geom, cfg, n_s=400, f_dw=0.2,
                                     n_ss=10)
 write_csv(out / "saturation.csv", {"atom_number": numbers, "max_R": max_r})
-write_blocks(out / "saturation.svg", svg_blocks(
-    [Series(np.log10(numbers), max_r, "max R")], "log10 atom number", "max R"))
+write_blocks(out / "saturation.svg", [render_svg(
+    [Series(np.log10(numbers), max_r, "max R")], "log10 atom number", "max R")])
 _, pair = bs.saturation_scan([1e4, 1e5], geom, cfg, n_s=400, f_dw=0.2, n_ss=10)
 print(f"low-N decade ratio R(10N)/R(N) = {pair[1] / pair[0]:.1f} (quadratic: 100)")
 print(f"high-N saturation: R({numbers[-5]:.1e}) = {max_r[-5]:.3f} -> "
@@ -49,6 +49,6 @@ idx = bs.reflection_minima(table.delta_over_gamma, table.R, prominence=1e-3,
                            window=(-6, 6))
 print(f"reflection minima at delta/Gamma = "
       f"{np.round(table.delta_over_gamma[idx], 2).tolist()}")
-write_blocks(out / "double_dip.svg", svg_blocks(
-    [Series(table.delta_over_gamma, table.R, "R")], "delta / Gamma", "R"))
+write_blocks(out / "double_dip.svg", [render_svg(
+    [Series(table.delta_over_gamma, table.R, "R")], "delta / Gamma", "R")])
 print(f"outputs in {out}")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 import braggstack as bs
-from braggstack.svgplot import Series, svg_blocks
+from braggstack.svgplot import Series, render_svg
 from braggstack.tableio import write_blocks, write_csv
 
 out = Path(__file__).parent / "output"
@@ -38,12 +38,12 @@ rho = bs.density_of_states(eps, theta)
 write_csv(out / "bands_lossless.csv",
           {"cell_phase_offset": eps, "re_theta": theta.real,
            "im_theta": theta.imag, "dos": rho})
-write_blocks(out / "bands_lossless.svg", svg_blocks(
+write_blocks(out / "bands_lossless.svg", [render_svg(
     [Series(eps, theta.real, "Re theta"),
      Series(eps, 10 * theta.imag, "10 x Im theta")],
-    "gap phase - pi", "Bloch phase (rad)"))
-write_blocks(out / "dos_lossless.svg", svg_blocks(
-    [Series(eps, rho, "DOS")], "gap phase - pi", "|d Re theta / d eps|"))
+    "gap phase - pi", "Bloch phase (rad)")])
+write_blocks(out / "dos_lossless.svg", [render_svg(
+    [Series(eps, rho, "DOS")], "gap phase - pi", "|d Re theta / d eps|")])
 ingap = theta.imag > 1e-9
 print(f"stop band spans eps in [{eps[ingap].min():.4f}, {eps[ingap].max():.4f}]"
       f" (expected [-2 zeta, 0] = [{-2 * zeta_r:.4f}, 0])")
@@ -58,10 +58,10 @@ grid = bs.detuning_grid(-10, 10, 401)
 chain = bs.perfect_lattice(3e17, 1, geom.with_lattice_mismatch(0.8e-9))
 theta_p, _ = bs.band_structure(chain, grid, cfg,
                                geom.with_lattice_mismatch(0.8e-9))
-write_blocks(out / "bands_physical.svg", svg_blocks(
+write_blocks(out / "bands_physical.svg", [render_svg(
     [Series(grid, theta_p.real, "Re theta"),
      Series(grid, theta_p.imag, "Im theta")],
-    "delta / Gamma", "Bloch phase (rad)"))
+    "delta / Gamma", "Bloch phase (rad)")])
 print(f"physical cell: max Im theta = {theta_p.imag.max():.4f} at "
       f"delta/Gamma = {grid[np.argmax(theta_p.imag)]:.2f}")
 print(f"outputs in {out}")

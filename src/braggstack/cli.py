@@ -23,7 +23,7 @@ from .config import ConfigError, default_config_text, parse_config
 from .engine import EngineError, field_profile
 from .experiments import atom_number_to_density, band_structure, detected_powers, \
     lattice_constant_scan, saturation_scan, spectrum, sweep_scatter
-from .svgplot import Series, spectrum_series, svg_blocks
+from .svgplot import Series, render_svg, spectrum_series
 from .tableio import spectrum_columns, write_blocks, write_csv
 from .verify import run_verification
 
@@ -84,6 +84,8 @@ def _profile(run):
 
 def _bands(run):
     grid = run.scan.detuning_grid()
+    if grid.size < 3:  # the DOS is a central difference
+        raise ConfigError(f"bands needs a [scan] grid of 3 or more points, got {grid.size}")
     theta, rho = band_structure(run.build_chain(), grid, run.response,
                                 run.geometry)
     columns = {"delta_over_gamma": grid, "re_theta": theta.real,
@@ -140,7 +142,7 @@ def run_command(compute, args) -> int:
         print(f"wrote {path}")
     if args.svg:
         path = out / f"{run.scan.out}{svg_suffix}.svg"
-        write_blocks(path, svg_blocks(series, xlabel, ylabel))
+        write_blocks(path, [render_svg(series, xlabel, ylabel)])
         print(f"wrote {path}")
     return 0
 

@@ -279,7 +279,9 @@ _TABLE = {
         ("lambda_dip", "810 nm", _length, None, "trap wavelength"),
         ("lambda_brg", "780 nm", _probe_wavelength, None, "probe wavelength"),
         ("angle", "bragg", _angle, _echo_angle, 'or e.g. "15.64 deg" / "0.273 rad"'),
-        ("U0", "500 uK", _angular("U0"), None,
+        ("U0", "500 uK",
+         _check(_angular("U0"), lambda u: hbar * u > 0.0,  # the widths divide by it
+                "U0 is below the float range: hbar * U0 is 0 J"), None,
          'trap depth; also "0.6 Gamma", "10 MHz", "... rad/s"'),
         ("T", "0.4*U0",
          _check(_temperature, lambda t: t >= 0.0, "T must be non-negative"),
@@ -318,7 +320,10 @@ _TABLE = {
         ("eta", "0.16", _fraction("eta"), None,
          "probe/cloud overlap fraction for powers"),
         ("p_i", "30 uW", _power, None, "incident power for powers"),
-        ("out", "spectrum", lambda raw, line, values: raw, None, "output base name"),
+        ("out", "spectrum", _check(lambda raw, line, values: raw,
+                                   lambda v: not re.search(r"[/\\\0]", v),
+                                   "out must be a base name, with no '/', '\\' or NUL"),
+         None, "output base name, no path separator"),
     ),
 }
 _ROWS = {(section, row[0]): row for section, rows in _TABLE.items()

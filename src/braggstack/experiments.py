@@ -27,7 +27,9 @@ from .response import AtomResponseConfig, zeta
 
 DEFAULT_GRID = (-40.0, 15.0, 1101)
 FILLED_PERIODS = 10_000  # antinodes populated in the reference trap
-ORACLE_MAX_SLABS = 250_000  # the band and its LU take ~0.4 KB per slab
+# ~635 B of peak RSS per slab: one default-cell solve takes a fresh process's
+# ru_maxrss from 57 MB to 85/187/211 MB at 42k/210k/250k slabs (2-vCPU x86-64)
+ORACLE_MAX_SLABS = 250_000
 GRID_CHUNK = 8192  # grid points per engine call in a sweep
 
 

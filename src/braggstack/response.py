@@ -82,8 +82,9 @@ def line_response(delta_brg, cfg: AtomResponseConfig) -> np.ndarray:
     """sum_F s_F / (i + 2*(delta - delta_F)/Gamma), the detuning factor of zeta."""
     delta = np.asarray(delta_brg, dtype=float)
     resp = np.zeros(delta.shape, dtype=complex)
-    for line in cfg.lines:
-        resp += line.strength / (1j + 2.0 * (delta - line.delta_f) / cfg.gamma)
+    with np.errstate(over="ignore"):  # a quotient of inf gives the limit 0
+        for line in cfg.lines:  # 2*(delta - delta_F)/Gamma to the bit, no 2*delta
+            resp += line.strength / (1j + (delta - line.delta_f) / (0.5 * cfg.gamma))
     return resp
 
 
@@ -111,9 +112,10 @@ def cross_section(delta_brg, cfg: AtomResponseConfig):
     """
     delta = np.asarray(delta_brg, dtype=float)
     out = np.zeros(delta.shape, dtype=float)
-    for line in cfg.lines:
-        x = 2.0 * (delta - line.delta_f) / cfg.gamma
-        out += line.strength / (1.0 + x * x)
+    with np.errstate(over="ignore"):  # x or x * x = inf gives the limit 0
+        for line in cfg.lines:
+            x = (delta - line.delta_f) / (0.5 * cfg.gamma)  # as in line_response
+            out += line.strength / (1.0 + x * x)
     out *= resonant_cross_section(cfg.lambda_brg)
     if out.ndim == 0:
         return float(out)

@@ -8,7 +8,6 @@ golden files.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +73,8 @@ def _m4(x, y):
     return np.array(sorted(keep))
 
 
-def svg_blocks(series, xlabel: str, ylabel: str):
-    """render_svg's document in blocks: the axes, then each polyline with its
-    points as format_rows yields them.  A bad series raises before the first."""
+def render_svg(series, xlabel: str, ylabel: str) -> str:
+    """Line plot of the given series with axes, ticks and a legend."""
     series = list(series)
     if not series:
         raise ValueError("need at least one series")
@@ -129,38 +127,28 @@ def svg_blocks(series, xlabel: str, ylabel: str):
     out.append(f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" {font} '
                f'text-anchor="middle" transform="rotate(-90 18 '
                f'{MARGIN_T + plot_h / 2:.1f})">{ylabel.translate(ESCAPES)}</text>')
-
-    def gen():
-        yield "\n".join(out) + "\n"
-        for i, s in enumerate(series):
-            color = PALETTE[i % len(PALETTE)]
-            # px and py over whole arrays: the same float64 operations, in
-            # the same order, as on one point; a long series whose px is
-            # non-decreasing keeps only its M4 points, to which py is applied
-            x, y = px(np.asarray(s.x, dtype=float)), np.asarray(s.y, dtype=float)
-            if x.size > 4 * plot_w and np.all(x[1:] >= x[:-1]):
-                keep = _m4(x, y)
-                x, y = x[keep], y[keep]
-            # the first point has no space
-            with closing(format_rows(" %.3f,%.3f", [x, py(y)])) as points:
-                yield '<polyline points="' + next(points)[1:]
-                yield from points
-            yield f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
-            if s.label:
-                ly = MARGIN_T + 16 + 16 * i
-                lx = WIDTH - MARGIN_R - 150
-                yield (f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
-                       f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>\n'
-                       f'<text x="{lx + 28}" y="{ly}" {font}>'
-                       f'{s.label.translate(ESCAPES)}</text>\n')
-        yield "</svg>\n"
-
-    return gen()
-
-
-def render_svg(series, xlabel: str, ylabel: str) -> str:
-    """Line plot of the given series with axes, ticks and a legend."""
-    return "".join(svg_blocks(series, xlabel, ylabel))
+    for i, s in enumerate(series):
+        color = PALETTE[i % len(PALETTE)]
+        # px and py over whole arrays: the same float64 operations, in the
+        # same order, as on one point; a long series whose px is
+        # non-decreasing keeps only its M4 points, to which py is applied
+        x, y = px(np.asarray(s.x, dtype=float)), np.asarray(s.y, dtype=float)
+        if x.size > 4 * plot_w and np.all(x[1:] >= x[:-1]):
+            keep = _m4(x, y)
+            x, y = x[keep], y[keep]
+        # the first point has no space
+        points = "".join(format_rows(" %.3f,%.3f", [x, py(y)]))[1:]
+        out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                   f'stroke-width="1.5"/>')
+        if s.label:
+            ly = MARGIN_T + 16 + 16 * i
+            lx = WIDTH - MARGIN_R - 150
+            out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" '
+                       f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
+            out.append(f'<text x="{lx + 28}" y="{ly}" {font}>'
+                       f'{s.label.translate(ESCAPES)}</text>')
+    out.append("</svg>\n")
+    return "\n".join(out)
 
 
 def spectrum_series(tables):

@@ -99,10 +99,9 @@ def render_csv(columns: dict, metadata: dict | None = None) -> str:
 
 
 def write_blocks(path, blocks) -> None:
-    """Write an iterator of text blocks to a file, one block at a time; a
-    failed write closes the blocks, which ends their pool."""
+    """Write an iterable of text blocks to a file, one block at a time."""
     try:
-        with closing(blocks), open(path, "wb") as f:
+        with open(path, "wb") as f:
             for block in blocks:
                 f.write(block.encode("utf-8"))
     except OSError as exc:
@@ -111,7 +110,8 @@ def write_blocks(path, blocks) -> None:
 
 def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
     """render_csv(columns, metadata) to a file, written block by block."""
-    write_blocks(path, _blocks(columns, metadata))
+    with closing(_blocks(columns, metadata)) as blocks:  # a failed write ends the pool
+        write_blocks(path, blocks)
 
 
 def _parses(text: str, cells: int) -> bool:

@@ -294,6 +294,78 @@ def test_value_that_parses_but_cannot_run_is_refused_at_its_line(
     assert not out.exists()
 
 
+def test_spectrum_far_off_resonance_does_not_overflow(tmp_path):
+    # 2 * delta overflowed at -4.7e300 Gamma (a RuntimeWarning, an error
+    # here) and the line sum read 0 there
+    path = tmp_path / "run.cfg"
+    path.write_text("[scan]\ngrid = -4.7e300 0 5\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+    table = read_spectrum_csv(tmp_path / "spectrum.csv")
+    assert np.all(np.isfinite(table.R)) and table.delta_over_gamma.size == 5
+
+
+@pytest.mark.parametrize("command, text, message", [
+    # the whole sweep ran, then the write failed (exit 3) and left --out
+    pytest.param("spectrum", "[scan]\nout = sub/name",
+                 "line 2: out must be a base name", id="out-in-a-subdirectory"),
+    # bands wrote x_bands.csv beside --out, not in it
+    pytest.param("bands", "[scan]\nout = ../x",
+                 "line 2: out must be a base name", id="out-beside-out"),
+    # the DOS's central difference raised a ValueError (exit 1)
+    pytest.param("bands", "[scan]\ngrid = -1 1 2",
+                 "bands needs a [scan] grid of 3 or more", id="bands-on-2-points"),
+    # hbar * U0 underflowed to 0 and the thermal widths divided by it
+    pytest.param("profile", "[geometry]\nU0 = 2e-290 rad/s",
+                 "line 2: U0 is below the float range", id="U0-underflow"),
+])
+def test_config_that_would_fail_late_is_refused(tmp_path, capsys, command, text,
+                                                message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--svg"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def _config_text(entries):
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
+
+
+@pytest.mark.parametrize("entries", [
+    {("model", "n"): "0 cm^-3"},
+    {("model", "kind"): "perfect"},
+    {("model", "kind"): "sequential", ("model", "stark"): "on",
+     ("geometry", "T"): "0 K"},
+    {("geometry", "lambda_brg"): "810 nm"},  # the Bragg angle is 0
+    {("model", "f_dw"): "0"},
+    {("model", "f_dw"): "1"},
+    {("model", "n_ss"): "1"},
+    {("response", "lines"): "0 1; 1e12 1"},
+    {("response", "gamma"): "1e-300 rad/s"},
+    {("response", "gamma"): "1e-300 rad/s", ("scan", "grid"): "-1e308 0 5"},
+    {("response", "gamma"): "1e300 rad/s"},
+    {("geometry", "U0"): "5e-290 rad/s"},
+    {("scan", "out"): "sub/name"},
+    {("scan", "grid"): "-1 1 2"},
+    {("geometry", "U0"): "2e-290 rad/s"},
+], ids=lambda entries: ", ".join(f"{key} = {value}"
+                                 for (_, key), value in entries.items()))
+def test_edge_configs_end_in_an_exit_code(tmp_path, entries):
+    # every output command either runs or is refused with a one-line error;
+    # no exception (a RuntimeWarning included) escapes main()
+    path = tmp_path / "run.cfg"
+    path.write_text(_config_text({("model", "n_s"): "10", ("model", "n_ss"): "4",
+                                  **entries}), encoding="utf-8")
+    for command in cli.COMMANDS:
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--svg"]) in (0, 2, 4), command
+
+
 def test_scan_atoms_refuses_a_cloud_at_zero_temperature(tmp_path, capsys):
     # at T = 0 the cloud has no radial width, so N atoms have no density;
     # the other commands take T = 0

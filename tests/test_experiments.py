@@ -410,17 +410,36 @@ def test_oracle_handles_periodic_chains(cfg, geom):
     assert abs(res.r - r_o) < 1e-10 and abs(res.t - t_o) < 1e-10
 
 
-def test_oracle_matches_engine_past_ten_thousand_slabs(cfg, geom):
-    # the default cell at 2,000 periods (42,000 slabs), where T falls to
-    # 4.7e-20: the grid ends, the reflection peak and the transmission floor
-    chain = bs.two_component_lattice(3e17, 0.2, 2000, 20, geom)
-    assert chain.total_slabs == 42_000
+@pytest.mark.parametrize("periods", [2000, 10_000])
+def test_oracle_matches_engine_past_ten_thousand_slabs(cfg, geom, periods):
+    # the default cell at 2,000 and 10,000 periods (42,000 and 210,000
+    # slabs), where T falls to 4.7e-20 and 2.6e-97: the grid ends, the
+    # reflection peak and the transmission floor
+    chain = bs.two_component_lattice(3e17, 0.2, periods, 20, geom)
+    assert chain.total_slabs == 21 * periods <= ORACLE_MAX_SLABS
     delta = bs.detuning_grid() * cfg.gamma
     res = bs.sweep_scatter(chain, delta, cfg, geom)
     for k in sorted({0, delta.size - 1, int(np.argmax(res.big_r)),
                      int(np.argmin(res.big_t))}):
         r_o, t_o = bs.solve_boundary_value(chain, delta[k], cfg, geom)
         assert max(abs(res.r[k] - r_o), abs(res.t[k] - t_o)) <= 1e-10
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(10_000, 50_000), seed=st.integers(0, 2**32 - 1),
+       delta_g=st.floats(-12.0, 12.0))
+def test_oracle_matches_long_random_flat_chains(cfg, geom, n, seed, delta_g):
+    # passive non-periodic chains past 10^4 slabs, at one detuning as a
+    # scalar and as a one-point grid; with layers of up to 1e11 m^-2 (the
+    # default cell's are 1.2e11), T falls to ~1e-30 at 5x10^4 slabs
+    rng = np.random.default_rng(seed)
+    chain = bs.SlabChain(rng.uniform(0, 1e11, n), rng.uniform(-5, 5, n) * cfg.gamma,
+                         rng.uniform(0, 1.5e-6, n))
+    delta = delta_g * cfg.gamma
+    r_o, t_o = bs.solve_boundary_value(chain, delta, cfg, geom)
+    for d in (delta, np.array([delta])):
+        res = bs.sweep_scatter(chain, d, cfg, geom)
+        assert max(np.max(abs(res.r - r_o)), np.max(abs(res.t - t_o))) <= 1e-10
 
 
 @pytest.mark.parametrize("n, periods", [(ORACLE_MAX_SLABS + 1, 1),

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import braggstack as bs
 from braggstack import svgplot, tableio
-from braggstack.svgplot import Series, render_svg, spectrum_series, svg_blocks
+from braggstack.svgplot import Series, render_svg, spectrum_series
 from braggstack.tableio import format_float, read_csv, read_spectrum_csv, \
     render_csv, write_blocks, write_csv, write_spectrum_csv
 
@@ -412,7 +412,7 @@ def test_render_svg_rejects_non_finite(tmp_path, bad):
     with pytest.raises(ValueError):
         render_svg(series, "x", "y")
     with pytest.raises(ValueError):
-        write_blocks(tmp_path / "t.svg", svg_blocks(series, "x", "y"))
+        write_blocks(tmp_path / "t.svg", [render_svg(series, "x", "y")])
     assert not (tmp_path / "t.svg").exists()
 
 
@@ -431,9 +431,9 @@ def test_render_svg_rejects_non_finite(tmp_path, bad):
 def test_render_svg_rejects_malformed_series(tmp_path, series, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         render_svg(series, "x", "y")
-    # the streamed document is checked before its file is opened
+    # the document is checked before its file is opened
     with pytest.raises(ValueError, match=re.escape(message)):
-        write_blocks(tmp_path / "t.svg", svg_blocks(series, "x", "y"))
+        write_blocks(tmp_path / "t.svg", [render_svg(series, "x", "y")])
     assert not (tmp_path / "t.svg").exists()
 
 
@@ -453,31 +453,18 @@ def test_svg_text_is_escaped(label, xlabel, ylabel):
     assert texts[-3:] == [xlabel, ylabel, label]
 
 
-def test_svg_blocks_hold_one_block_of_points():
-    n = 2 * tableio.BLOCK_ROWS + 1
-    x = np.linspace(1.0, 0.0, n)  # decreasing: every point is formatted
-    series = [Series(x, np.cos(9.0 * x), "a")]
-    blocks = list(svg_blocks(series, "x", "y"))
-    doc = render_svg(series, "x", "y")
-    assert "".join(blocks) == doc
-    # a point is at most " 720.000,480.000", 16 characters
-    head = doc[:doc.index('points="') + len('points="')]
-    assert max(map(len, blocks)) <= len(head) + 16 * tableio.BLOCK_ROWS
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_streamed_svg_write_holds_no_whole_document(tmp_path, cpus):
-    # the document is ~16 B/point; render_svg written whole peaks at
-    # ~100 B/point
+    # a monotone series is M4-decimated to at most 4 points per pixel
+    # column, so the document holds ~2,500 of its points; undecimated, it
+    # would be ~16 B/point, and formatted whole ~100 B/point
     n = 4 * tableio.BLOCK_ROWS + 1
     x = np.linspace(0.0, 1.0, n)
-    # x decreasing: every point is formatted; then the same series M4-decimated
-    series = [Series(x[::-1], np.sin(40.0 * x) ** 2, ""),
-              Series(x, np.sin(40.0 * x) ** 2, "")]
+    series = [Series(x, np.sin(40.0 * x) ** 2, "")]
     with _cpus(cpus):
         tracemalloc.start()
         try:
-            write_blocks(tmp_path / "t.svg", svg_blocks(series, "x", "y"))
+            write_blocks(tmp_path / "t.svg", [render_svg(series, "x", "y")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -581,31 +568,18 @@ class _DiskFullAfterOneBlock(io.FileIO):
         return super().write(b)
 
 
-def _write_to_full_disk(path, write):
+@fork_only
+def test_failed_write_ends_the_pool(tmp_path):
+    path = tmp_path / "t.csv"
     fork = multiprocessing.get_context("fork")
     with mock.patch.object(tableio, "BLOCK_ROWS", 16), \
             _cpus(2), \
             mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool, \
             mock.patch.object(tableio, "open", _DiskFullAfterOneBlock, create=True):
         with pytest.raises(OSError, match=re.escape(f"cannot write {path}")) as failure:
-            write(path)
+            write_csv(path, _mixed_table(1000))
     # the pool is gone while the caller still holds the error (and with it
     # the writer's frame), not only once the error is collected
     assert pool.call_count == 1
     assert multiprocessing.active_children() == []
     assert failure.value.__cause__.errno == errno.ENOSPC
-
-
-@fork_only
-def test_failed_write_ends_the_pool(tmp_path):
-    _write_to_full_disk(tmp_path / "t.csv",
-                        lambda path: write_csv(path, _mixed_table(1000)))
-
-
-@fork_only
-def test_failed_svg_write_ends_the_pool(tmp_path):
-    # the head, then the first block of points; the second block fails
-    columns = _mixed_table(1000)
-    series = [Series(columns["z"], columns["f32"], "a")]
-    _write_to_full_disk(tmp_path / "t.svg",
-                        lambda path: write_blocks(path, svg_blocks(series, "x", "y")))

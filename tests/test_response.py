@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import braggstack as bs
+from braggstack.response import line_response
 
 ND_Z = 1.215e11  # 3e11 cm^-3 over half an 810 nm period
 
@@ -47,6 +50,7 @@ def test_cross_section_values(cfg1):
     assert bs.cross_section(0.0, cfg1) == pytest.approx(sigma0, rel=1e-14)
     assert bs.cross_section(cfg1.gamma, cfg1) == pytest.approx(sigma0 / 5, rel=1e-14)
     assert bs.cross_section(1e6 * cfg1.gamma, cfg1) < 1e-12 * sigma0
+    assert bs.cross_section(1e300, cfg1) == 0.0  # the limit, where x * x overflows
 
 
 def test_cross_section_tracks_im_zeta(cfg):
@@ -55,6 +59,30 @@ def test_cross_section_tracks_im_zeta(cfg):
     sigma = bs.cross_section(deltas, cfg)
     z = bs.zeta(ND_Z, deltas, cfg)
     np.testing.assert_allclose(sigma, 2.0 * z.imag / ND_Z, rtol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta=hnp.arrays(float, st.integers(1, 16),
+                        elements=st.floats(-1.6e308, 1.6e308)),
+       offset=st.floats(-1e307, 1e307), gamma=st.floats(2.0**-1021, 1e300))
+@example(delta=np.array([-4.7e300 * bs.GAMMA_RB85_D2, -2.6e161, 0.0, 1e300]),
+         offset=0.0, gamma=bs.GAMMA_RB85_D2)
+def test_line_factors_keep_their_bits_without_overflow(delta, offset, gamma):
+    # x = 2 (delta - delta_F) / Gamma keeps the bits of the old
+    # 2.0 * (delta - delta_F) / Gamma wherever that is finite (Gamma / 2 is
+    # exact for a normal Gamma), and nothing overflows (an error here) where
+    # 2 * (delta - delta_F), x or x * x would
+    cfg = bs.AtomResponseConfig(gamma, (bs.SpectralLine(offset, 1.0),), 780e-9)
+    with np.errstate(over="ignore"):
+        x = 2.0 * (delta - offset) / gamma
+        x2 = x * x
+    sigma0 = bs.resonant_cross_section(780e-9)
+    resp, sigma = line_response(delta, cfg), bs.cross_section(delta, cfg)
+    old = np.isfinite(x)
+    np.testing.assert_array_equal(resp[old], 1.0 / (1j + x[old]))
+    fits = np.isfinite(x2)
+    np.testing.assert_array_equal(sigma[fits], 1.0 / (1.0 + x2[fits]) * sigma0)
+    assert np.all(np.isfinite(resp)) and np.all((sigma >= 0.0) & (sigma <= sigma0))
 
 
 def test_default_line_set_normalized():
