@@ -215,6 +215,26 @@ def _profile_delta(raw, line, values):
     return value
 
 
+def _waist(raw, line, values):
+    """A length at which one atom in a cloud of T > 0 has a density in the
+    float range: scan-atoms divides by the cloud volume (at T = 0 the cloud
+    has no width, and scan-atoms refuses it)."""
+    w_dip = _length(raw, line, values)
+    geom = LatticeGeometry(*(values["geometry", key]  # the keys before w_dip
+                             for key, *_ in _TABLE["geometry"][:-1]), w_dip)
+    if geom.T > 0.0:
+        try:
+            density = atom_number_to_density(1.0, geom)
+        except OverflowError:  # sigma_r**2
+            density = 0.0
+        except ZeroDivisionError:  # a volume of 0
+            density = math.inf
+        if not 0.0 < density < math.inf:
+            raise ConfigError(f"w_dip is outside the float range: one atom in the "
+                              f"cloud has density {density!r} m^-3", line)
+    return w_dip
+
+
 def _atom_numbers(raw, line, values):
     """A log grid whose last number has a finite density in the run's cloud
     (at T = 0 the cloud has no width, and scan-atoms refuses it)."""
@@ -286,7 +306,7 @@ _TABLE = {
         ("T", "0.4*U0",
          _check(_temperature, lambda t: t >= 0.0, "T must be non-negative"),
          lambda raw, t, _: f"{raw} ({t * 1e6:.6g} uK)", 'or "90 uK" / "0 K"'),
-        ("w_dip", "220 um", _length, None, "trap waist"),
+        ("w_dip", "220 um", _waist, None, "trap waist"),
     ),
     "response": (
         ("gamma", "6 MHz", _angular("gamma"), None, "natural linewidth"),

@@ -3,71 +3,233 @@
 17 significant digits, '\n' line endings and sorted `# key = value` metadata
 lines make the files byte-stable across runs and round-trip exact.
 
-format_rows formats the rows, and svgplot's polyline points, in blocks of
-BLOCK_ROWS.  More than one block on more than one usable CPU goes to a fork
-pool with one worker per CPU (no setting), unless fork is missing or this is a
-daemon process, which may not have children; the blocks come back in order, so
-the bytes are those of the serial path.
+The CSV rows are formatted by numpy, BLOCK_ROWS rows at a time, to the bytes
+of format_float(float(v)) in every cell.  Each cell's 17 digits come from an
+error-free double-double product (Dekker, Numer. Math. 18, 224 (1971)) with a
+table of powers of ten; the digits and their decimal exponent are correctly
+rounded (Steele & White, PLDI 1990).  A row holding nan, inf, or a cell
+whose scaled fraction lies within _TIE of 1/2 goes through Python's %
+instead: 2^-25 = 2.98023223876953125e-08 is an exact tie at the 17th digit.
+format_rows formats svgplot's polyline points with one Python % per block.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import closing, nullcontext
-from functools import partial
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import SpectrumTable, usable_cpus
+from .experiments import SpectrumTable
 
 SPECTRUM_COLUMNS = ("delta_over_gamma", "R", "T", "A", "phi_rad")
-BLOCK_ROWS = 1 << 15  # rows per formatted text block (~2 MB of text)
+BLOCK_ROWS = 1 << 12  # rows per formatted text block (~250 KB of CSV text)
 _HEADER = re.compile(r"^([^#\n].*)\n", re.M)  # the first row not blank or "#"
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 _BLANK_CELL = r"(?m)(?:^|,)[ \t]+(?:,|$)"  # numpy reads such a cell as -1
+_K_MIN, _K_MAX = -293, 341  # the powers 10^k the digits need: k = 16 - X
+_TIE = 2.0 ** -30  # far above the product's error, ~2^-46 at 10^17
+# A cell's slot: six little-endian uint64 words of ASCII.  Byte 0 is the sign,
+# 1-5 the "0.000" of a fixed form below 1, digit i sits at 6 + 2i with a
+# candidate point after it, 40-45 are "e+-" and three exponent digits, and 47
+# is the separator.  A (sign, form, digits) key selects the bytes a cell keeps;
+# the forms are the fixed ones of decimal exponent -4..16 and the four
+# exponent ones (exponent sign, two or three exponent digits).
+_FORMS = 21 + 4
+_KEYS = 2 * _FORMS * 17  # one more key keeps nothing: a row Python formats
 
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _format_block(template: str, block) -> str:
-    # one % over the block's cells in row order: the text of template % row
-    # row after row, without a call and a string per row
-    cells = chain.from_iterable(zip(*[a.tolist() for a in block]))
-    return (template * len(block[0])) % tuple(cells)
-
-
 def format_rows(template: str, arrays):
     """template % row for each row of the equal-length 1-d arrays, in text
-    blocks of BLOCK_ROWS rows, in order (see the module docstring).
+    blocks of BLOCK_ROWS rows, in order.
 
-    Rows are formatted over the Python numbers of tolist(), so a "%.17g"
-    cell gives the bytes of format_float(float(v)).
+    Each block is one % over its cells in row order, on the Python numbers
+    of tolist(): no call and no string per row.
     """
     rows = BLOCK_ROWS  # read per call, so that a patched value takes effect
-    blocks = [[a[i:i + rows] for a in arrays]
-              for i in range(0, len(arrays[0]), rows)]
-    workers, pool = min(usable_cpus(), len(blocks)), None
-    if workers > 1:
-        import multiprocessing  # lazily: importing the CLI does not load it
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            pool = multiprocessing.get_context("fork").Pool(workers)
-    with pool or nullcontext():
-        fmt = partial(_format_block, template)
-        yield from (pool.imap if pool else map)(fmt, blocks)
+    for i in range(0, len(arrays[0]), rows):
+        cells = chain.from_iterable(zip(*[a[i:i + rows].tolist() for a in arrays]))
+        yield (template * min(rows, len(arrays[0]) - i)) % tuple(cells)
+
+
+def _words(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), "<u8")
+
+
+@lru_cache(maxsize=None)
+def _tables():
+    """The formatter's tables, built on first use from exact integers.
+
+    powers, per k: 10^k = (hi + lo) * 2^two with hi in [1, 2], each rounded
+    to nearest from the exact fraction, and hi's Dekker split (hh, hl).
+    text: per k, 17 times the form of decimal exponent x = 16 - k and the
+    word of "e+-" and the digits of |x|; the first word of a slot per first
+    digit; the four digits of 0..9999, each followed by a point, as one word,
+    and their trailing zero counts; the keep-mask of every key, as words,
+    and its byte count.
+    """
+    hi, lo, two, forms = [], [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        x = 16 - k
+        form = x + 4 if -4 <= x < 17 else 21 + 2 * (x < 0) + (abs(x) >= 100)
+        forms.append(17 * form)
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        b = num.bit_length() - den.bit_length()
+        num, den = (num, den << b) if b >= 0 else (num << -b, den)
+        if num < den:
+            num, b = num << 1, b - 1
+        h = num / den  # int / int rounds correctly
+        hi.append(h)
+        lo.append((num * 2 ** 52 - int(h * 2 ** 52) * den) / (den << 52))
+        two.append(b)
+    hi = np.array(hi)
+    c = hi * 134217729.0  # 2^27 + 1
+    hh = c - (c - hi)
+    expo = _words("".join(f"e+-{abs(16 - k):03d} \0"
+                          for k in range(_K_MIN, _K_MAX + 1)))
+    leads = _words("".join(f"-0.000{i}." for i in range(10)))
+    i = np.arange(10000)
+    dotted = np.full((10000, 8), ord("."), np.uint8)
+    dotted[:, ::2] = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10],
+                              axis=1) + ord("0")
+    zeros = sum((i % 10 ** p == 0).astype(int) for p in range(1, 5))
+    masks = np.zeros((_KEYS + 1, 48), bool)
+    digit = np.arange(6, 39, 2)
+    for key in range(_KEYS):
+        m = masks[key]
+        neg, form, nd = key // (17 * _FORMS), key // 17 % _FORMS, key % 17 + 1
+        m[0], m[47] = neg, True
+        if form < 4:  # 0.000ddd: "0." and 3 - form zeros
+            m[1:6 - form] = True
+            m[digit[:nd]] = True
+        elif form < 21:  # fixed: every integer digit, then a point if needed
+            x = form - 4
+            m[digit[:max(nd, x + 1)]] = True
+            m[7 + 2 * x] = nd > x + 1
+        else:
+            m[digit[:nd]] = True
+            m[7] = nd > 1
+            m[[40, 42 if form >= 23 else 41, 44, 45]] = True
+            m[43] = form in (22, 24)
+    return ((hi, np.array(lo), np.array(two), hh, hi - hh),
+            (np.array(forms), expo, leads, dotted.view("<u8").ravel(), zeros,
+             masks.view("<u8"), masks.sum(axis=1)))
+
+
+def _scaled(a, x, powers):
+    """a * 10^(16 - x) as a double-double (h, l), |l| <= ulp(h) / 2, and -1,
+    0 or 1 where that lies below 10^16 - _TIE, in range, or at or above
+    10^17 + _TIE.  Within _TIE of either end both exponents give the same
+    text, so the product's error there decides nothing."""
+    hi, lo, two, hh, hl = (table.take(16 - _K_MIN - x) for table in powers)
+    m, e = np.frexp(a)
+    c = m * 134217729.0
+    mh = c - (c - m)
+    ml = m - mh
+    p = m * hi
+    s = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * lo
+    h = p + s
+    s -= h - p
+    e += two
+    h, l = np.ldexp(h, e), np.ldexp(s, e)
+    return h, l, (((h - 1e17) + l >= _TIE).view(np.int8)
+                  - ((h - 1e16) + l < -_TIE).view(np.int8))
+
+
+def _digits(a, powers):
+    """For finite positive a: the 17-digit integer d, the decimal exponent x
+    of its first digit, and where the rounding is too close to call."""
+    x = np.floor(np.log10(a)).astype(np.int64)
+    h, l, off = _scaled(a, x, powers)
+    i = np.flatnonzero(off)
+    while i.size:  # log10 near a power of ten: one step toward it
+        x[i] += off[i]
+        h[i], l[i], off[i] = _scaled(a[i], x[i], powers)
+        i = i[off[i] != 0]
+    whole = np.floor(l)
+    l -= whole
+    d = h.astype(np.int64) + whole.astype(np.int64) + (l > 0.5)
+    up = d == 10 ** 17  # 99999999999999999.5 and above: one digit more
+    d[up] = 10 ** 16
+    x[up] += 1
+    return d, x, np.abs(l - 0.5) < _TIE
+
+
+def _divmod(n, unit):
+    q = n // unit
+    return q, n - q * unit  # several times faster than numpy's floored %
+
+
+def _format_block(arrays) -> str:
+    """The CSV rows of equal-length 1-d columns of kinds b, i, u and f."""
+    powers, (forms, expo, leads, dotted, zeros, masks, sizes) = _tables()
+    n, cols = len(arrays[0]), len(arrays)
+    v = np.empty((n, cols))
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN stays NaN
+        for j, column in enumerate(arrays):
+            v[:, j] = column
+    v = v.ravel()
+    a = np.abs(v)
+    bad = ~np.isfinite(a)
+    zero = a == 0.0
+    a[bad | zero] = 1.0
+    d, x, tie = _digits(a, powers)
+    d[zero], x[zero] = 0, 0
+    bad |= tie
+    high, low = _divmod(d, 10 ** 8)
+    top, high = _divmod(high, 10 ** 8)
+    quads = [*_divmod(high, 10 ** 4), *_divmod(low, 10 ** 4)]
+    trailing = np.full(d.size, 16)
+    for i, q in enumerate(quads):
+        trailing = np.where(q != 0, 12 - 4 * i + zeros.take(q), trailing)
+    trailing[zero] = 16
+    k = 16 - _K_MIN - x  # the table row of decimal exponent x
+    key = forms.take(k) + np.signbit(v) * (17 * _FORMS) + 16 - trailing
+    key = key.reshape(n, cols)
+    python = (np.flatnonzero(bad.reshape(n, cols).any(axis=1)).tolist()
+              if bad.any() else [])  # the rows that Python's % formats
+    key[python] = _KEYS
+    words = np.empty((n, cols, 6), "<u8")
+    w = words.reshape(n * cols, 6)
+    w[:, 0] = leads.take(top)
+    for i, q in enumerate(quads):
+        w[:, 1 + i] = dotted.take(q)
+    seps = np.array([ord(",") << 56] * (cols - 1) + [ord("\n") << 56], "<u8")
+    np.add(expo.take(k).reshape(n, cols), seps, out=words[:, :, 5])
+    keep = np.take(masks, key, axis=0).view(bool).ravel()
+    text = np.compress(keep, words.view(np.uint8).ravel()).tobytes().decode("ascii")
+    if not python:
+        return text
+    ends = np.cumsum(sizes.take(key).sum(axis=1)).tolist()
+    row = ",".join(["%.17g"] * cols) + "\n"
+    v = v.reshape(n, cols)
+    out, start = [], 0
+    for i in python:
+        out += [text[start:ends[i]], row % tuple(v[i].tolist())]
+        start = ends[i]
+    return "".join(out) + text[start:]
+
+
+def _format_csv_rows(arrays):
+    """_format_block over blocks of BLOCK_ROWS rows, in order."""
+    rows = BLOCK_ROWS  # read per call, so that a patched value takes effect
+    for i in range(0, len(arrays[0]), rows):
+        yield _format_block([a[i:i + rows] for a in arrays])
 
 
 def _blocks(columns: dict, metadata: dict | None):
-    """The CSV text as an iterator of blocks: the header, then the rows
-    from format_rows.
+    """The CSV text as an iterator of blocks: the header, then the rows.
 
     The columns are checked before the iterator is returned, so a bad table
     writes nothing.  A complex column is refused: float() would drop its
-    imaginary part.
+    imaginary part.  So is every column that is not bool, integer or real
+    float: strings, objects and datetimes have no float cells.
     """
     names = list(columns)
     if not names:
@@ -82,13 +244,15 @@ def _blocks(columns: dict, metadata: dict | None):
         if np.iscomplexobj(a):
             raise TypeError(f"column {name!r} is complex; write its real "
                             f"and imaginary parts as two columns")
+        if a.dtype.kind not in "biuf":
+            raise TypeError(f"column {name!r} has dtype {a.dtype}; columns "
+                            f"must be bool, integer or real float")
     head = [f"# {key} = {metadata[key]}\n" for key in sorted(metadata or {})]
     head.append(",".join(names) + "\n")
-    row = ",".join(["%.17g"] * len(arrays)) + "\n"
 
     def gen():
         yield "".join(head)
-        yield from format_rows(row, arrays)
+        yield from _format_csv_rows(arrays)
 
     return gen()
 
@@ -110,8 +274,7 @@ def write_blocks(path, blocks) -> None:
 
 def write_csv(path, columns: dict, metadata: dict | None = None) -> None:
     """render_csv(columns, metadata) to a file, written block by block."""
-    with closing(_blocks(columns, metadata)) as blocks:  # a failed write ends the pool
-        write_blocks(path, blocks)
+    write_blocks(path, _blocks(columns, metadata))
 
 
 def _parses(text: str, cells: int) -> bool:

@@ -26,8 +26,9 @@ def cfg1():
 
 @pytest.fixture(autouse=True)
 def no_leaked_processes():
-    """Fail a test that leaves a child process (a formatting pool worker) or
-    a thread it started (a sweep helper) alive."""
+    """Fail a test that leaves a child process or a thread it started (a
+    sweep helper) alive: the library starts no process, and a sweep's
+    helper threads end before it returns."""
     before = set(threading.enumerate())
     yield
     leaked = multiprocessing.active_children()

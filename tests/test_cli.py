@@ -317,6 +317,13 @@ def test_spectrum_far_off_resonance_does_not_overflow(tmp_path):
     # hbar * U0 underflowed to 0 and the thermal widths divided by it
     pytest.param("profile", "[geometry]\nU0 = 2e-290 rad/s",
                  "line 2: U0 is below the float range", id="U0-underflow"),
+    # the cloud area 2 pi sigma_r^2 underflowed to 0: a RuntimeWarning from
+    # the density, then the default atom_numbers was refused with no line
+    pytest.param("spectrum", "[geometry]\nw_dip = 1e-300 m",
+                 "line 2: w_dip is outside the float range", id="w_dip-underflow"),
+    # sigma_r**2 raised OverflowError (exit 1, a traceback)
+    pytest.param("scan-atoms", "[geometry]\nw_dip = 1e160 m",
+                 "line 2: w_dip is outside the float range", id="w_dip-overflow"),
 ])
 def test_config_that_would_fail_late_is_refused(tmp_path, capsys, command, text,
                                                 message):
@@ -396,12 +403,13 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # only the boundary-value oracle needs scipy, and only the CSV formatting
-    # pool multiprocessing: each is imported when called, so that every CLI
-    # process starts without them
+    # only the boundary-value oracle needs scipy: it is imported when called,
+    # so that every CLI process starts without it; nothing loads
+    # multiprocessing, and the CSV formatter's tables are built on first use
     code = ("import sys, braggstack.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
+            "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')), "
+            "braggstack.tableio._tables.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 0"

@@ -1,7 +1,6 @@
 import errno
 import io
 import math
-import multiprocessing
 import os
 import re
 import tracemalloc
@@ -145,14 +144,45 @@ def _csv_per_cell(columns, metadata=None):
     return "\n".join(lines) + "\n"
 
 
+def _ulps_from(base, k):
+    # k ulps above base, or -k below it
+    v = base
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+def _near_power_of_ten(k, ulps):
+    # 10^k rounded to a double, then `ulps` ulps away from it
+    return _ulps_from(float(f"1e{k}"), ulps)
+
+
+# ties of the 17th digit (2^-25 = 2.98023223876953125e-08 rounds down to
+# even, 3 * 2^-25 = 8.94069671630859375e-08 up), the last digit rounding up
+# to a new decade, and the ends of the fixed form
+_HARD_FLOATS = [2.0**-25, -2.0**-25, 3 * 2.0**-25, 7 * 2.0**-25, 2.0**-24, 2.0**56 + 16,
+                9.9999999999999999e16, 99999999999999999.0, 1e16, 1e17, 1e-14, 1e98,
+                0.0001, 0.00009999999999999999, 1e-5, 123456789012345678.0,
+                0.30000000000000004, 2.0**-1074, 2.0**-1022, 1.7976931348623157e308]
+
 _column = st.one_of(
     hnp.arrays(np.float64, st.integers(0, 12), elements=st.floats(
         allow_nan=True, allow_infinity=True, allow_subnormal=True)),
     hnp.arrays(np.float64, st.integers(0, 12),
                elements=st.sampled_from([-0.0, -1e-300, -5e-324, 0.1, -2.5e-17])),
+    # raw 64-bit patterns: every sign, exponent and mantissa, NaN payloads
+    hnp.arrays(np.int64, st.integers(0, 12)).map(lambda a: a.view(np.float64)),
+    st.lists(st.builds(_near_power_of_ten, st.integers(-323, 308),
+                       st.integers(-2, 2)), max_size=12).map(np.array),
+    hnp.arrays(np.float64, st.integers(0, 12), elements=st.sampled_from(
+        _HARD_FLOATS + [0.0, -0.0, math.nan, math.inf, -math.inf])),
     hnp.arrays(np.float32, st.integers(0, 12)),
-    hnp.arrays(np.int64, st.integers(0, 12)),
-    hnp.arrays(np.uint64, st.integers(0, 12)),
+    hnp.arrays(np.int32, st.integers(0, 12)).map(lambda a: a.view(np.float32)),
+    hnp.arrays(np.int64, st.integers(0, 12), elements=st.one_of(
+        st.integers(-2**63, 2**63 - 1), st.sampled_from(
+            [2**53 + 1, -2**53 - 1, 2**63 - 1, -2**63, 2**62 + 1025]))),
+    hnp.arrays(np.uint64, st.integers(0, 12), elements=st.one_of(
+        st.integers(0, 2**64 - 1), st.sampled_from([2**64 - 1, 2**63 + 1025, 2**53 + 1]))),
     hnp.arrays(np.bool_, st.integers(0, 12)),
 )
 
@@ -171,6 +201,38 @@ def test_render_csv_equals_per_cell_writer(tmp_path_factory, cols, block):
         write_csv(path, columns, meta)
     assert text == _csv_per_cell(columns, meta)
     assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_every_binary_exponent_formats_as_per_cell():
+    # every exponent of a double, normal and subnormal, with seeded
+    # mantissas, both signs, and the ulp neighbours of each power of two
+    rng = np.random.default_rng(7)
+    bits = (np.arange(2047, dtype=np.int64)[:, None] << 52) | rng.integers(
+        0, 1 << 52, (2047, 6), dtype=np.int64)
+    bits[:, 0] &= ~((1 << 52) - 1)
+    bits[:, 1] |= (1 << 52) - 1
+    values = bits.view(np.float64).ravel()
+    values = np.concatenate([values, -values, np.nextafter(values, 0.0)])
+    columns = {"v": values, "w": values[::-1].copy()}
+    assert render_csv(columns) == _csv_per_cell(columns)
+
+
+def test_powers_of_ten_and_their_neighbours_format_as_per_cell():
+    # 1e-14, the double below 10^-14, has 17 digits that round up to 1e-14
+    values = np.array([_near_power_of_ten(k, ulps) for k in range(-323, 309)
+                       for ulps in range(-2, 3)])
+    columns = {"v": values, "neg": -values}
+    assert render_csv(columns) == _csv_per_cell(columns)
+
+
+@pytest.mark.parametrize("values", [
+    [2.0**-25, 1.0, 3 * 2.0**-25], [1e300, 2.0**-25], [math.nan, 2.0**-25, 1.5, -0.0]])
+def test_rows_of_ties_and_non_finite_cells_keep_their_places(values):
+    n = len(values)
+    columns = {"a": np.array(values), "b": np.arange(n) * 0.1, "c": np.arange(n) % 2 == 0}
+    with mock.patch.object(tableio, "BLOCK_ROWS", 2):
+        assert render_csv(columns) == _csv_per_cell(columns)
+    assert render_csv(columns) == _csv_per_cell(columns)
 
 
 def test_csv_blocks_with_one_row_tail(tmp_path):
@@ -200,7 +262,8 @@ def test_read_csv_round_trips_every_written_value(tmp_path_factory, cols):
     back, meta = read_csv(path)
     assert meta == {"k": "v = w"} and list(back) == list(columns)
     for name, column in columns.items():
-        want, got = np.asarray(column, dtype=float), back[name]
+        with np.errstate(invalid="ignore"):  # a float32 signalling NaN
+            want, got = np.asarray(column, dtype=float), back[name]
         assert got.dtype == np.float64 and got.base is None
         # bit for bit, but for the payload of a NaN, which "nan" drops
         same = got.view(np.int64) == want.view(np.int64)
@@ -244,6 +307,22 @@ def test_read_csv_names_the_line_column_and_text_of_a_bad_cell(
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: line {line}, column {column}: {cell} is not a number")):
         read_csv(path)
+
+
+@pytest.mark.parametrize("column, dtype", [
+    (np.array(["1.5", "2.0", "3"]), "<U3"),
+    (np.array([1.5, None, 3.0], dtype=object), "object"),
+    (np.array(["2020-01-01", "2020-01-02", "2020-01-03"], dtype="datetime64[D]"),
+     "datetime64[D]"),
+    (np.array([b"1", b"2", b"3"]), "|S1"),
+])
+def test_csv_non_numeric_column_rejected_before_writing(tmp_path, column, dtype):
+    path = tmp_path / "t.csv"
+    columns = {"x": np.zeros(3), "bad": column}
+    for write in (render_csv, lambda c: write_csv(path, c)):
+        with pytest.raises(TypeError, match=re.escape(f"column 'bad' has dtype {dtype}")):
+            write(columns)
+    assert not path.exists()
 
 
 def test_csv_complex_column_rejected_before_writing(tmp_path):
@@ -355,7 +434,7 @@ def test_long_monotone_series_keep_their_m4_points(n, seed, tie, jump, plateau,
 @pytest.mark.parametrize("n, order", [(4 * PLOT_W, "increasing"),
                                       (4 * PLOT_W + 1, "decreasing"),
                                       (4 * PLOT_W + 1, "one swap"),
-                                      (3 * tableio.BLOCK_ROWS, "one swap")])
+                                      (3 * 2**15, "one swap")])
 def test_short_or_non_monotone_series_keep_every_point(n, order):
     x = np.linspace(0.0, 1.0, n)
     if order == "decreasing":
@@ -365,13 +444,6 @@ def test_short_or_non_monotone_series_keep_every_point(n, order):
     series = [Series(x, np.cos(40.0 * x), "a"), Series(x[:5], x[:5] ** 2)]
     assert _polyline_points(render_svg(series, "x", "y")) == \
         _polylines_per_point(series)
-
-
-def _ulps_from(base, k):
-    v = base
-    for _ in range(k):
-        v = math.nextafter(v, math.inf)
-    return v
 
 
 @settings(max_examples=300, deadline=None)
@@ -458,7 +530,7 @@ def test_streamed_svg_write_holds_no_whole_document(tmp_path, cpus):
     # a monotone series is M4-decimated to at most 4 points per pixel
     # column, so the document holds ~2,500 of its points; undecimated, it
     # would be ~16 B/point, and formatted whole ~100 B/point
-    n = 4 * tableio.BLOCK_ROWS + 1
+    n = 4 * 2**15 + 1
     x = np.linspace(0.0, 1.0, n)
     series = [Series(x, np.sin(40.0 * x) ** 2, "")]
     with _cpus(cpus):
@@ -487,12 +559,9 @@ def test_csv_bad_table_rejected_before_writing(tmp_path, columns, message):
     assert not path.exists()
 
 
-fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                               reason="the pool path needs the fork start method")
-
-
 def _cpus(n):
-    # the usable CPUs the formatter sees
+    # the usable CPUs the process sees; the writers start no process or
+    # thread on any number of them
     return mock.patch.object(os, "sched_getaffinity", create=True,
                              return_value=set(range(n)))
 
@@ -501,60 +570,6 @@ def _mixed_table(rows):
     z = np.linspace(-1.0, 1.0, rows) ** 3
     return {"z": z, "tiny": -z * 1e-310, "f32": (z * 7).astype(np.float32),
             "i": np.arange(rows, dtype=np.int64) - rows // 2, "k": np.arange(rows) % 3 == 0}
-
-
-def _svg_series(columns):
-    # x decreasing, so that no series is decimated and every point is formatted
-    return [Series(columns["z"][::-1], columns["f32"], "a"),
-            Series(columns["i"][::-1], columns["tiny"])]
-
-
-def _outputs(columns, path):
-    # the CSV rendered and written, and the polylines of two series
-    write_csv(path, columns)
-    points = _polyline_points(render_svg(_svg_series(columns), "x", "y"))
-    return render_csv(columns), path.read_bytes(), points
-
-
-@fork_only
-@pytest.mark.parametrize("block", [64, tableio.BLOCK_ROWS])
-def test_pool_keeps_the_bytes(tmp_path, block):
-    # three blocks, the last of one row, on a pool of two workers
-    columns = _mixed_table(2 * block + 1)
-    fork = multiprocessing.get_context("fork")
-    with mock.patch.object(tableio, "BLOCK_ROWS", block), \
-            _cpus(2), \
-            mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool:
-        text, raw, points = _outputs(columns, tmp_path / "pool.csv")
-        assert pool.call_count == 4 and pool.call_args.args == (2,)
-        with _cpus(1):
-            serial = _outputs(columns, tmp_path / "serial.csv")
-        assert pool.call_count == 4
-    reference = _csv_per_cell(columns)
-    assert text == reference and raw == reference.encode("utf-8")
-    assert points == _polylines_per_point(_svg_series(columns))
-    assert serial == (text, raw, points)
-
-
-@fork_only
-def test_one_block_never_starts_a_pool(tmp_path):
-    columns = _mixed_table(tableio.BLOCK_ROWS)
-    with _cpus(2), \
-            mock.patch.object(multiprocessing.get_context("fork"), "Pool",
-                              side_effect=AssertionError("pool started")):
-        text, raw, _ = _outputs(columns, tmp_path / "t.csv")
-    assert raw == text.encode("utf-8")
-
-
-@fork_only
-def test_daemon_process_formats_serially():
-    # a pool worker is a daemon and may not start a pool of its own
-    columns = _mixed_table(40)
-    with mock.patch.object(tableio, "BLOCK_ROWS", 8), \
-            _cpus(2):
-        with multiprocessing.get_context("fork").Pool(1) as outer:
-            text = outer.apply(render_csv, (columns,))
-    assert text == _csv_per_cell(columns)
 
 
 class _DiskFullAfterOneBlock(io.FileIO):
@@ -568,18 +583,12 @@ class _DiskFullAfterOneBlock(io.FileIO):
         return super().write(b)
 
 
-@fork_only
 def test_failed_write_ends_the_pool(tmp_path):
+    # the error names the file and keeps the OS error as its cause; the
+    # formatter starts no process, so none is left running (conftest checks)
     path = tmp_path / "t.csv"
-    fork = multiprocessing.get_context("fork")
     with mock.patch.object(tableio, "BLOCK_ROWS", 16), \
-            _cpus(2), \
-            mock.patch.object(fork, "Pool", wraps=fork.Pool) as pool, \
             mock.patch.object(tableio, "open", _DiskFullAfterOneBlock, create=True):
         with pytest.raises(OSError, match=re.escape(f"cannot write {path}")) as failure:
             write_csv(path, _mixed_table(1000))
-    # the pool is gone while the caller still holds the error (and with it
-    # the writer's frame), not only once the error is collected
-    assert pool.call_count == 1
-    assert multiprocessing.active_children() == []
     assert failure.value.__cause__.errno == errno.ENOSPC
