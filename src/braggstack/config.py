@@ -26,6 +26,8 @@ from .response import AtomResponseConfig, SpectralLine, rb85_d2_f3_lines
 
 
 class ConfigError(ValueError):
+    default = False  # True once the message names a refused default's key
+
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
@@ -455,7 +457,16 @@ class _Values(dict):
         return self.entries.get(item, (_ROWS[item][1], None))
 
     def __missing__(self, item):
-        self[item] = value = _ROWS[item][2](*self.raw(item), self)
+        raw, line = self.raw(item)
+        try:
+            self[item] = value = _ROWS[item][2](raw, line, self)
+        except ConfigError as exc:
+            # a default has no line to blame: name its key, once
+            if line is not None or exc.line is not None or exc.default:
+                raise
+            error = ConfigError(f"[{item[0]}] {item[1]} = {raw} (its default): {exc}")
+            error.default = True
+            raise error from None
         return value
 
 

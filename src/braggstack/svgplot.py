@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tableio import format_rows
-
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 36, 52
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -136,8 +134,9 @@ def render_svg(series, xlabel: str, ylabel: str) -> str:
         if x.size > 4 * plot_w and np.all(x[1:] >= x[:-1]):
             keep = _m4(x, y)
             x, y = x[keep], y[keep]
-        # the first point has no space
-        points = "".join(format_rows(" %.3f,%.3f", [x, py(y)]))[1:]
+        # one % over the Python floats of x and py(y), interleaved
+        xy = np.stack([x, py(y)], axis=1).ravel().tolist()
+        points = " ".join(["%.3f,%.3f"] * x.size) % tuple(xy)
         out.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         if s.label:

@@ -10,14 +10,12 @@ table of powers of ten; the digits and their decimal exponent are correctly
 rounded (Steele & White, PLDI 1990).  A row holding nan, inf, or a cell
 whose scaled fraction lies within _TIE of 1/2 goes through Python's %
 instead: 2^-25 = 2.98023223876953125e-08 is an exact tie at the 17th digit.
-format_rows formats svgplot's polyline points with one Python % per block.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,19 +41,6 @@ _KEYS = 2 * _FORMS * 17  # one more key keeps nothing: a row Python formats
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
-
-
-def format_rows(template: str, arrays):
-    """template % row for each row of the equal-length 1-d arrays, in text
-    blocks of BLOCK_ROWS rows, in order.
-
-    Each block is one % over its cells in row order, on the Python numbers
-    of tolist(): no call and no string per row.
-    """
-    rows = BLOCK_ROWS  # read per call, so that a patched value takes effect
-    for i in range(0, len(arrays[0]), rows):
-        cells = chain.from_iterable(zip(*[a[i:i + rows].tolist() for a in arrays]))
-        yield (template * min(rows, len(arrays[0]) - i)) % tuple(cells)
 
 
 def _words(text: str) -> np.ndarray:
@@ -216,13 +201,6 @@ def _format_block(arrays) -> str:
     return "".join(out) + text[start:]
 
 
-def _format_csv_rows(arrays):
-    """_format_block over blocks of BLOCK_ROWS rows, in order."""
-    rows = BLOCK_ROWS  # read per call, so that a patched value takes effect
-    for i in range(0, len(arrays[0]), rows):
-        yield _format_block([a[i:i + rows] for a in arrays])
-
-
 def _blocks(columns: dict, metadata: dict | None):
     """The CSV text as an iterator of blocks: the header, then the rows.
 
@@ -252,7 +230,9 @@ def _blocks(columns: dict, metadata: dict | None):
 
     def gen():
         yield "".join(head)
-        yield from _format_csv_rows(arrays)
+        rows = BLOCK_ROWS  # read here, so that a patched value takes effect
+        for i in range(0, length, rows):
+            yield _format_block([a[i:i + rows] for a in arrays])
 
     return gen()
 

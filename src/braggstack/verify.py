@@ -172,7 +172,7 @@ CHECKS = (
 )
 
 
-def run_verification(n_chains: int = 500) -> list[CheckResult]:
+def run_verification(n_chains: int) -> list[CheckResult]:
     geom, cfg = bragg_matched_geometry(), default_config()
     results = []
     for name, tol, check in CHECKS:

@@ -324,6 +324,11 @@ def test_spectrum_far_off_resonance_does_not_overflow(tmp_path):
     # sigma_r**2 raised OverflowError (exit 1, a traceback)
     pytest.param("scan-atoms", "[geometry]\nw_dip = 1e160 m",
                  "line 2: w_dip is outside the float range", id="w_dip-overflow"),
+    # a valid waist at which the default atom_numbers' density overflows:
+    # the refusal had no key and no line
+    pytest.param("scan-atoms", "[geometry]\nw_dip = 1e-150 m",
+                 "[scan] atom_numbers = 1e5 4e7 13 (its default): value outside "
+                 "the finite float range", id="w_dip-default-atom_numbers"),
 ])
 def test_config_that_would_fail_late_is_refused(tmp_path, capsys, command, text,
                                                 message):

@@ -260,6 +260,22 @@ def test_invalid_value_names_its_line(text, line, tmp_path, capsys):
     assert f"line {line}:" in capsys.readouterr().err
 
 
+def test_refused_default_names_its_key_once():
+    # one atom has no density in a cloud this wide at the default waist
+    text = "[geometry]\nU0 = 1e-250 rad/s\nT = 1e300 K\n"
+    message = ("[geometry] w_dip = 220 um (its default): w_dip is outside the "
+               "float range: one atom in the cloud has density 0.0 m^-3")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message and err.value.line is None
+    # atom_numbers' default reads the geometry: the default w_dip that it
+    # looks up is named by its own key, and only once
+    values = config._Values(config._read_entries(text))
+    with pytest.raises(ConfigError) as err:
+        values["scan", "atom_numbers"]
+    assert str(err.value) == message
+
+
 def test_probe_waist_is_no_longer_a_key(tmp_path, capsys):
     # nothing computed from w_brg, so the key went; an old config says so
     path = tmp_path / "old.cfg"

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import re
+import threading
 import tracemalloc
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -410,11 +411,13 @@ def test_long_monotone_series_keep_their_m4_points(n, seed, tie, jump, plateau,
                                                     levels, integer_x):
     x, y = _monotone_series(n, seed, tie, jump, plateau, levels, integer_x)
     series = [Series(x, y)]
-    with mock.patch.object(svgplot, "format_rows", wraps=tableio.format_rows) as fmt:
+    with mock.patch.object(svgplot, "_m4", wraps=svgplot._m4) as m4:
         doc = render_svg(series, "x", "y")
-    kept = list(zip(*(a.tolist() for a in fmt.call_args.args[1])))
-    assert _polyline_points(doc) == [" ".join(f"{a:.3f},{b:.3f}" for a, b in kept)]
+    assert m4.call_count == 1
+    # the kept points: the points, scaled one at a time, at _m4's indices
     full = _scaled_per_point(series)[0]
+    kept = [full[i] for i in svgplot._m4(*m4.call_args.args).tolist()]
+    assert _polyline_points(doc) == [" ".join(f"{a:.3f},{b:.3f}" for a, b in kept)]
     # the kept points are points of the series, in order, at most 4 per column
     assert len(kept) <= len(full) and _is_subsequence(kept, full)
     columns = {}
@@ -533,6 +536,7 @@ def test_streamed_svg_write_holds_no_whole_document(tmp_path, cpus):
     n = 4 * 2**15 + 1
     x = np.linspace(0.0, 1.0, n)
     series = [Series(x, np.sin(40.0 * x) ** 2, "")]
+    threads = threading.active_count()
     with _cpus(cpus):
         tracemalloc.start()
         try:
@@ -540,9 +544,17 @@ def test_streamed_svg_write_holds_no_whole_document(tmp_path, cpus):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert threading.active_count() == threads
     assert peak < 64 * n
     assert (tmp_path / "t.svg").read_text(encoding="utf-8") == \
         render_svg(series, "x", "y")
+
+
+def _cpus(n):
+    # the usable CPUs the process sees; the writers start no process or
+    # thread on any number of them
+    return mock.patch.object(os, "sched_getaffinity", create=True,
+                             return_value=set(range(n)))
 
 
 @pytest.mark.parametrize("columns, message", [
@@ -557,13 +569,6 @@ def test_csv_bad_table_rejected_before_writing(tmp_path, columns, message):
     with pytest.raises(ValueError, match=message):
         write_csv(path, columns)
     assert not path.exists()
-
-
-def _cpus(n):
-    # the usable CPUs the process sees; the writers start no process or
-    # thread on any number of them
-    return mock.patch.object(os, "sched_getaffinity", create=True,
-                             return_value=set(range(n)))
 
 
 def _mixed_table(rows):
@@ -583,7 +588,7 @@ class _DiskFullAfterOneBlock(io.FileIO):
         return super().write(b)
 
 
-def test_failed_write_ends_the_pool(tmp_path):
+def test_failed_write_names_the_file_and_keeps_the_os_error(tmp_path):
     # the error names the file and keeps the OS error as its cause; the
     # formatter starts no process, so none is left running (conftest checks)
     path = tmp_path / "t.csv"
