@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, default_config_text, parse_config
+from .config import ConfigError, default_config_text, lattice_suffix, parse_config
 from .engine import EngineError, field_profile
 from .experiments import atom_number_to_density, band_structure, detected_powers, \
     lattice_constant_scan, saturation_scan, spectrum, sweep_scatter
@@ -47,7 +47,7 @@ def _scan_lattice(run):
     tables = lattice_constant_scan(
         run.scan.delta_lambdas, run.build_chain, run.scan.detuning_grid(),
         run.response, run.geometry)
-    files = [(f"_dl{dl * 1e9:+.3f}nm", spectrum_columns(table), table.metadata)
+    files = [(lattice_suffix(dl), spectrum_columns(table), table.metadata)
              for dl, table in zip(run.scan.delta_lambdas, tables)]
     return files, ("_family", spectrum_series(tables), "delta / Gamma", "R")
 

@@ -45,6 +45,7 @@ _ANGLE = {"deg": math.pi / 180.0, "rad": 1.0}  # math.radians' own factor
 _NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 MODEL_KINDS = ("perfect", "sequential", "two_component")
+NAME_MAX = 255  # bytes in a file name on common file systems
 
 # A parser maps (raw, line, values) to a value: raw is the value as written,
 # line its line number (None for a default) and values[section, key] the
@@ -130,17 +131,23 @@ def _probe_wavelength(raw, line, values):
     if value > lambda_dip:
         raise ConfigError(
             f"need 0 < lambda_brg <= lambda_dip, got lambda_brg={value!r} "
-            f"lambda_dip={lambda_dip!r}",
-            values.raw(("geometry", "lambda_dip"))[1] if line is None else line)
+            f"lambda_dip={lambda_dip!r}", values.line("lambda_brg", "lambda_dip"))
     return value
 
 
 def _angle(raw, line, values):
     """'bragg' (the angle that matches the lattice) or an angle unit."""
-    if raw.lower() == "bragg":
-        return bragg_angle(values["geometry", "lambda_brg"],
-                           values["geometry", "lambda_dip"])
-    return _explicit_angle(raw, line, values)
+    if raw.lower() != "bragg":
+        return _explicit_angle(raw, line, values)
+    lambda_brg = values["geometry", "lambda_brg"]
+    lambda_dip = values["geometry", "lambda_dip"]
+    beta_i = bragg_angle(lambda_brg, lambda_dip)
+    if not beta_i < math.pi / 2.0:
+        raise ConfigError(
+            f"the Bragg angle acos(lambda_brg / lambda_dip) rounds to 90 deg, got "
+            f"lambda_brg={lambda_brg!r} lambda_dip={lambda_dip!r}",
+            values.line("lambda_dip", "lambda_brg", "angle"))
+    return beta_i
 
 
 def _lines(raw, line, values):
@@ -251,20 +258,58 @@ def _atom_numbers(raw, line, values):
     return atoms
 
 
+def _layer_density(n, lambda_dip, line):
+    """Refuse a lattice whose layer density n * lambda_dip / 2 overflows: it
+    bounds the surface density of every layer that a chain builder makes."""
+    if not math.isfinite(n * (lambda_dip / 2.0)):
+        raise ConfigError(f"the layer density n * lambda_dip / 2 overflows, got "
+                          f"n={n!r} m^-3 lambda_dip={lambda_dip!r} m", line)
+
+
+def _lattice_density(raw, line, values):
+    """A mean density n whose layers at the run's lambda_dip are finite."""
+    n = _density(raw, line, values)
+    _layer_density(n, values["geometry", "lambda_dip"], values.line("n", "lambda_dip"))
+    return n
+
+
+def lattice_suffix(dl: float) -> str:
+    """The file name suffix of scan-lattice's spectrum at mismatch dl (m)."""
+    return f"_dl{dl * 1e9:+.3f}nm"
+
+
+def _out(raw, line, values):
+    """A base name whose file names fit in NAME_MAX bytes: <out>_saturation.csv
+    is the longest but scan-lattice's, which _mismatches checks."""
+    if re.search(r"[/\\\0]", raw):
+        raise ConfigError("out must be a base name, with no '/', '\\' or NUL", line)
+    if len(f"{raw}_saturation.csv".encode()) > NAME_MAX:
+        raise ConfigError(f"out is {len(raw.encode())} bytes: the file name "
+                          f"<out>_saturation.csv exceeds {NAME_MAX} bytes", line)
+    return raw
+
+
 def _mismatches(raw, line, values):
-    """Lattice mismatches, each of which must keep lambda_dip >= lambda_brg."""
+    """Lattice mismatches, each of which must keep lambda_dip >= lambda_brg
+    and a finite layer density."""
     parts = raw.split()
     if len(parts) < 2 or parts[-1] not in _LENGTH:
         raise ConfigError(f"expected 'v1 v2 ... unit', got {raw!r}", line)
     scale = _LENGTH[parts[-1]]
     mismatches = tuple(_finite(_number(p, line) * scale, raw, line)
                        for p in parts[:-1])
-    geom = _geometry(values)
-    try:
-        for dl in mismatches:
-            geom.with_lattice_mismatch(dl)
-    except ValueError as exc:
-        raise ConfigError(f"delta_lambda {dl!r} m: {exc}", line) from None
+    out, geom = values["scan", "out"], _geometry(values)
+    for dl in mismatches:
+        try:
+            shifted = geom.with_lattice_mismatch(dl)
+        except ValueError as exc:
+            raise ConfigError(f"delta_lambda {dl!r} m: {exc}", line) from None
+        _layer_density(values["model", "n"], shifted.lambda_dip, values.line(
+            "delta_lambda", "n", "angle", "lambda_brg", "lambda_dip"))
+        name = f"{out}{lattice_suffix(dl)}.csv"
+        if len(name.encode()) > NAME_MAX:
+            raise ConfigError(f"delta_lambda {dl!r} m: the file name {name[:60]}... "
+                              f"exceeds {NAME_MAX} bytes", line)
     return mismatches
 
 
@@ -318,7 +363,7 @@ _TABLE = {
     "model": (
         ("kind", "two_component", _choice(MODEL_KINDS, "model kind"), None,
          " | ".join(MODEL_KINDS)),
-        ("n", "3e11 cm^-3", _density, None, "mean density"),
+        ("n", "3e11 cm^-3", _lattice_density, None, "mean density"),
         ("n_s", "600", _at_least(1, "n_s"), None, "lattice periods"),
         ("n_ss", "20", _at_least(1, "n_ss"), None, "sublayers per period"),
         ("f_dw", "0.2", _fraction("f_dw"), None,
@@ -342,10 +387,8 @@ _TABLE = {
         ("eta", "0.16", _fraction("eta"), None,
          "probe/cloud overlap fraction for powers"),
         ("p_i", "30 uW", _power, None, "incident power for powers"),
-        ("out", "spectrum", _check(lambda raw, line, values: raw,
-                                   lambda v: not re.search(r"[/\\\0]", v),
-                                   "out must be a base name, with no '/', '\\' or NUL"),
-         None, "output base name, no path separator"),
+        ("out", "spectrum", _out, None,
+         "output base name: no path separator, <= 240 bytes"),
     ),
 }
 _ROWS = {(section, row[0]): row for section, rows in _TABLE.items()
@@ -455,6 +498,13 @@ class _Values(dict):
     def raw(self, item):
         """(value as written, line), or (default, None) if not given."""
         return self.entries.get(item, (_ROWS[item][1], None))
+
+    def line(self, *keys):
+        """The line of the first of `keys` that the config sets, or None:
+        where a value that several keys decide is refused (no key name is
+        in two sections)."""
+        lines = {key: line for (_, key), (_, line) in self.entries.items()}
+        return next((lines[key] for key in keys if key in lines), None)
 
     def __missing__(self, item):
         raw, line = self.raw(item)

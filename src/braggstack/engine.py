@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeGeometry
-from .response import AtomResponseConfig, line_response, zeta, zeta_prefactor
+from .response import AtomResponseConfig, line_response, resonant_cross_section, zeta
 
 TransferMatrix = np.ndarray  # (..., 2, 2) complex
 
@@ -265,11 +265,12 @@ def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
     _run_order of `runs` runs, in (slabs,) + grid blocks of whole steps of
     `runs` slabs and at most ZETA_BLOCK elements (one step at least).  The
     line sum is evaluated once per distinct Stark shift and scaled by each
-    slab's -surface_density * prefactor: the bits of zeta over the broadcast."""
+    slab's -surface_density * sigma0 / 2: the bits of zeta over the broadcast."""
     col = (-1,) + (1,) * delta.ndim
     shifts, row = np.unique(chain.stark_shift, return_inverse=True)
     lines = line_response(delta - shifts.reshape(col), cfg)
-    scale = -chain.surface_density.reshape(col) * zeta_prefactor(cfg)
+    sigma0 = resonant_cross_section(cfg.lambda_brg)
+    scale = -chain.surface_density.reshape(col) * (0.5 * sigma0)
     row, scale = row[order], scale[order]
     width = runs * max(1, ZETA_BLOCK // max(1, runs * delta.size))
     for j0 in range(0, row.size, width):

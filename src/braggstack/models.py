@@ -115,7 +115,7 @@ def sequential_lattice(cfg: ThermalModelConfig, geom: LatticeGeometry) -> SlabCh
     grid = sublayer_positions(cfg.n_ss, geom.lambda_dip)
     if cfg.T == 0.0:
         sd = np.zeros(cfg.n_ss)
-        sd[cfg.n_ss // 2] = cfg.n * geom.lambda_dip / 2.0
+        sd[cfg.n_ss // 2] = cfg.n * (geom.lambda_dip / 2.0)
         stark = np.zeros(cfg.n_ss)
         if cfg.stark_enabled:
             stark[cfg.n_ss // 2] = cfg.U0

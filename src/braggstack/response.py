@@ -1,12 +1,14 @@
 """Complex single-layer reflection coefficient and absorption cross section.
 
-A layer of surface density n*dz responds to probe light detuned by delta with
+Both come from one line shape.  A layer of surface density n*dz responds to
+probe light detuned by delta with
 
-    zeta(delta) = -(n*dz) * (3/2) * (lambda**2 / 2pi)
-                  * sum_F s_F / (i + 2*(delta - delta_F)/Gamma)
+    zeta(delta) = -(n*dz) * (sigma0/2) * sum_F s_F / (i + 2*(delta - delta_F)/Gamma)
 
-so Im(zeta) >= 0 for every real detuning (passive, absorbing medium).  The
-response is strictly linear in the density: saturation is ignored.
+with sigma0 = 3 lambda**2 / 2pi, so Im(zeta) >= 0 for every real detuning
+(passive, absorbing medium), and an atom absorbs with the cross section
+sigma(delta) = -sigma0 * Im(sum_F ...).  The response is strictly linear in
+the density: saturation is ignored.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ def default_config() -> AtomResponseConfig:
     return AtomResponseConfig(GAMMA_RB85_D2, rb85_d2_f3_lines(), 780e-9)
 
 
-def zeta_prefactor(cfg: AtomResponseConfig) -> float:
-    """(3/2) * lambda**2 / 2pi, the area per atom in zeta."""
-    return 1.5 * cfg.lambda_brg**2 / (2.0 * math.pi)
+def resonant_cross_section(lambda_brg: float) -> float:
+    """Peak cross section sigma0 = 3*lambda**2/(2*pi) of a unit-strength line."""
+    return 3.0 * lambda_brg**2 / (2.0 * math.pi)
 
 
 def line_response(delta_brg, cfg: AtomResponseConfig) -> np.ndarray:
@@ -93,30 +95,17 @@ def zeta(surface_density, delta_brg, cfg: AtomResponseConfig):
 
     Broadcasts over `surface_density` and `delta_brg` (scalars or arrays).
     """
-    out = -np.asarray(surface_density, dtype=float) * zeta_prefactor(cfg) \
-        * line_response(delta_brg, cfg)
+    out = -np.asarray(surface_density, dtype=float) \
+        * (0.5 * resonant_cross_section(cfg.lambda_brg)) * line_response(delta_brg, cfg)
     if out.ndim == 0:
         return complex(out)
     return out
 
 
-def resonant_cross_section(lambda_brg: float) -> float:
-    """Peak cross section 3*lambda**2/(2*pi) of a unit-strength line."""
-    return 3.0 * lambda_brg**2 / (2.0 * math.pi)
-
-
 def cross_section(delta_brg, cfg: AtomResponseConfig):
-    """Absorption cross section, Lorentzian sum consistent with Im(zeta).
-
-    sigma(delta) = (3 lambda^2 / 2pi) * sum_F s_F / (1 + 4 (delta-delta_F)^2/Gamma^2)
-    """
-    delta = np.asarray(delta_brg, dtype=float)
-    out = np.zeros(delta.shape, dtype=float)
-    with np.errstate(over="ignore"):  # x or x * x = inf gives the limit 0
-        for line in cfg.lines:
-            x = (delta - line.delta_f) / (0.5 * cfg.gamma)  # as in line_response
-            out += line.strength / (1.0 + x * x)
-    out *= resonant_cross_section(cfg.lambda_brg)
+    """sigma0 * sum_F s_F / (1 + 4 (delta-delta_F)^2/Gamma^2), the absorption
+    cross section, as -sigma0 * Im(line_response): the line shape of Im(zeta)."""
+    out = -resonant_cross_section(cfg.lambda_brg) * line_response(delta_brg, cfg).imag
     if out.ndim == 0:
         return float(out)
     return out

@@ -329,6 +329,35 @@ def test_spectrum_far_off_resonance_does_not_overflow(tmp_path):
     pytest.param("scan-atoms", "[geometry]\nw_dip = 1e-150 m",
                  "[scan] atom_numbers = 1e5 4e7 13 (its default): value outside "
                  "the finite float range", id="w_dip-default-atom_numbers"),
+    # the Bragg angle rounded to pi/2 and LatticeGeometry raised a ValueError
+    # (exit 1, a traceback), at either wavelength
+    pytest.param("spectrum", "[geometry]\nlambda_dip = 1e300 m",
+                 "line 2: the Bragg angle acos(lambda_brg / lambda_dip) rounds to "
+                 "90 deg", id="bragg-angle-90-lambda_dip-1e300"),
+    pytest.param("spectrum", "[geometry]\nlambda_dip = 1e12 m",
+                 "line 2: the Bragg angle", id="bragg-angle-90-lambda_dip-1e12"),
+    pytest.param("bands", "[geometry]\nlambda_brg = 1e-300 m",
+                 "line 2: the Bragg angle", id="bragg-angle-90-lambda_brg"),
+    # a layer density n * lambda_dip / 2 of inf: the chain builder raised a
+    # ValueError (exit 1, a traceback), at the run's lambda_dip or a shifted one
+    pytest.param("spectrum", "[geometry]\nlambda_dip = 1e300 m\nangle = 10 deg",
+                 "line 2: the layer density n * lambda_dip / 2 overflows",
+                 id="layer-density-lambda_dip"),
+    pytest.param("scan-lattice", "[model]\nkind = perfect\nn = 1e30 cm^-3\n"
+                 "[scan]\ndelta_lambda = 1e300 nm",
+                 "line 5: the layer density n * lambda_dip / 2 overflows",
+                 id="layer-density-perfect-delta_lambda"),
+    pytest.param("scan-lattice", "[model]\nn = 1e30 cm^-3\n[scan]\n"
+                 "delta_lambda = 1e290 nm",
+                 "line 4: the layer density n * lambda_dip / 2 overflows",
+                 id="layer-density-two_component-delta_lambda"),
+    # a file name over 255 bytes: the write failed (exit 3, an i/o error)
+    pytest.param("spectrum", "[scan]\nout = " + "a" * 300,
+                 "line 2: out is 300 bytes", id="out-300-bytes"),
+    pytest.param("scan-lattice", "[model]\nn = 0 cm^-3\n[scan]\n"
+                 "delta_lambda = 1e300 nm",
+                 "line 4: delta_lambda 1.0000000000000001e+291 m: the file name",
+                 id="delta_lambda-file-name"),
 ])
 def test_config_that_would_fail_late_is_refused(tmp_path, capsys, command, text,
                                                 message):
@@ -365,7 +394,16 @@ def _config_text(entries):
     {("scan", "out"): "sub/name"},
     {("scan", "grid"): "-1 1 2"},
     {("geometry", "U0"): "2e-290 rad/s"},
-], ids=lambda entries: ", ".join(f"{key} = {value}"
+    {("geometry", "lambda_dip"): "1e300 m"},
+    {("geometry", "lambda_dip"): "1e12 m"},
+    {("geometry", "lambda_brg"): "1e-300 m"},
+    {("geometry", "lambda_dip"): "1e300 m", ("geometry", "angle"): "10 deg"},
+    {("model", "kind"): "perfect", ("model", "n"): "1e30 cm^-3",
+     ("scan", "delta_lambda"): "1e300 nm"},
+    {("model", "n"): "1e30 cm^-3", ("scan", "delta_lambda"): "1e290 nm"},
+    {("scan", "out"): "a" * 300},
+    {("model", "n"): "0 cm^-3", ("scan", "delta_lambda"): "1e300 nm"},
+], ids=lambda entries: ", ".join(f"{key} = {value:.40}"
                                  for (_, key), value in entries.items()))
 def test_edge_configs_end_in_an_exit_code(tmp_path, entries):
     # every output command either runs or is refused with a one-line error;
@@ -376,6 +414,20 @@ def test_edge_configs_end_in_an_exit_code(tmp_path, entries):
     for command in cli.COMMANDS:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o"),
                      "--svg"]) in (0, 2, 4), command
+
+
+def test_longest_file_name_fits_in_255_bytes(tmp_path, capsys):
+    # 240 bytes of out plus "_saturation.csv" is 255: written; 241 is refused
+    path = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    for size, code in ((240, 0), (241, 2)):
+        path.write_text(FAST_CONFIG.replace("out = run", "out = " + "a" * size),
+                        encoding="utf-8")
+        assert main(["scan-atoms", "--config", str(path), "--out", str(out)]) == code
+    assert [p.name for p in out.iterdir()] == ["a" * 240 + "_saturation.csv"]
+    line = FAST_CONFIG.splitlines().index("out = run") + 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: line {line}: out is 241 bytes")
 
 
 def test_scan_atoms_refuses_a_cloud_at_zero_temperature(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -80,9 +82,23 @@ def test_line_factors_keep_their_bits_without_overflow(delta, offset, gamma):
     resp, sigma = line_response(delta, cfg), bs.cross_section(delta, cfg)
     old = np.isfinite(x)
     np.testing.assert_array_equal(resp[old], 1.0 / (1j + x[old]))
+    # sigma is -sigma0 * Im of the same line factor, within 4 ulp of the
+    # Lorentzian sigma0 / (1 + x^2)
+    np.testing.assert_array_equal(sigma, -sigma0 * resp.imag)
     fits = np.isfinite(x2)
-    np.testing.assert_array_equal(sigma[fits], 1.0 / (1.0 + x2[fits]) * sigma0)
+    lorentzian = sigma0 / (1.0 + x2[fits])
+    assert np.all(np.abs(sigma[fits] - lorentzian) <= 4 * np.finfo(float).eps * sigma[fits])
     assert np.all(np.isfinite(resp)) and np.all((sigma >= 0.0) & (sigma <= sigma0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(1e-12, 1e3), density=st.floats(0.0, 1e30),
+       delta=st.floats(-1e12, 1e12))
+def test_zeta_keeps_the_bits_of_its_written_out_prefactor(lam, density, delta):
+    # sigma0 / 2 is the old (3/2) lambda^2 / 2pi to the bit
+    cfg = bs.AtomResponseConfig(bs.GAMMA_RB85_D2, bs.rb85_d2_f3_lines(), lam)
+    old = -np.asarray(density) * (1.5 * lam**2 / (2 * math.pi)) * line_response(delta, cfg)
+    assert np.array(bs.zeta(density, delta, cfg)).tobytes() == old.tobytes()
 
 
 def test_default_line_set_normalized():
