@@ -384,37 +384,20 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return (s[peak] + e[peak]) // 2
 
 
-def _bases(values: list, lows: list) -> list:
-    """Lowest sample between each peak and the nearest strictly higher peak
-    before it, or the edge; lows[j] is the lowest sample from peak j - 1
-    (or the edge) up to peak j.
-    """
-    out, stack = [], []  # (peak value, lowest sample since the entry below)
-    for v, low in zip(values, lows):
-        while stack and stack[-1][0] <= v:
-            low = min(low, stack.pop()[1])
-        out.append(low)
-        stack.append((v, low))
-    return out
-
-
 def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     """Height of each peak over the higher of its two bases, for NaN-free x.
 
     A base is the lowest sample between the peak and the nearest strictly
-    higher sample on its side, or the edge, as in
-    scipy.signal.peak_prominences without a window.  Walking away from the
-    peak, that higher sample lies on the flank of the nearest strictly
-    higher peak (or of the edge), so the bases follow from the lowest
-    sample between neighbouring peaks with one stack pass per side.
+    higher sample on its side, or the edge: the definition of
+    scipy.signal.peak_prominences without a window, one scan of x per peak.
     """
-    if peaks.size == 0:
-        return np.empty(0)
-    lows = np.minimum.reduceat(x, np.concatenate([[0], peaks])).tolist()
-    values = x[peaks].tolist()
-    left = _bases(values, lows[:-1])
-    right = _bases(values[::-1], lows[:0:-1])[::-1]
-    return x[peaks] - np.maximum(left, right)
+    out = np.empty(peaks.size)
+    for k, p in enumerate(peaks):
+        higher = np.flatnonzero(x > x[p])
+        lo = higher[higher < p].max(initial=-1) + 1
+        hi = higher[higher > p].min(initial=x.size)
+        out[k] = x[p] - max(x[lo:p + 1].min(), x[p:hi].min())
+    return out
 
 
 def reflection_minima(delta_over_gamma, big_r, prominence: float = 1e-3,
@@ -423,8 +406,8 @@ def reflection_minima(delta_over_gamma, big_r, prominence: float = 1e-3,
 
     For R without NaN the indices are those of
     scipy.signal.find_peaks(-R, prominence=...): a minimum is lower than
-    both neighbours (a plateau counts once, at its midpoint rounded down)
-    and its prominence is measured from the higher of its two bases.
+    both neighbours (a plateau counts once, at its midpoint rounded down),
+    and its prominence over its two bases is computed by its definition.
     `window` optionally restricts the search to delta/Gamma in [lo, hi].
     """
     grid = np.asarray(delta_over_gamma, dtype=float)

@@ -82,34 +82,37 @@ def perfect_lattice(n: float, n_s: int, geom: LatticeGeometry) -> SlabChain:
     return SlabChain([n * half], [0.0], [half], periods=n_s)
 
 
+def _boltzmann_weights(z, cfg: ThermalModelConfig, geom: LatticeGeometry):
+    """exp(-U_above(z) / k_B T) at offsets z from the well, for T > 0."""
+    kT = k_B * cfg.T / hbar  # thermal energy in rad/s
+    return np.exp(-np.asarray(potential_above_minimum(z, cfg.U0, geom.k_dip,
+                                                      cfg.potential_form)) / kT)
+
+
 def local_density(z, cfg: ThermalModelConfig, geom: LatticeGeometry):
     """Boltzmann-weighted density inside one period at offset z from the well.
 
-    Normalized on the same midpoint grid the chain builder uses, so that the
-    n_ss sublayer surface densities sum exactly to n*lambda_dip/2.  Requires
+    Normalized on the same midpoint grid the chain builder uses, so that
+    n_loc(z_nu) * dz over the n_ss sublayers sums to n*lambda_dip/2.  Requires
     T > 0; the frozen lattice is handled as a special case by
     sequential_lattice.
     """
     if cfg.T <= 0.0:
         raise ValueError("local_density needs T > 0; T = 0 is the "
                          "delta-concentration limit handled by the builder")
-    kT = k_B * cfg.T / hbar  # thermal energy in rad/s
     grid = sublayer_positions(cfg.n_ss, geom.lambda_dip)
     dz = geom.lambda_dip / (2.0 * cfg.n_ss)
-    weights = np.exp(-potential_above_minimum(grid, cfg.U0, geom.k_dip,
-                                              cfg.potential_form) / kT)
-    norm = dz * float(np.sum(weights))
-    w = np.exp(-np.asarray(potential_above_minimum(z, cfg.U0, geom.k_dip,
-                                                   cfg.potential_form)) / kT)
-    out = cfg.n * (geom.lambda_dip / 2.0) * w / norm
+    norm = dz * float(np.sum(_boltzmann_weights(grid, cfg, geom)))
+    out = cfg.n * (geom.lambda_dip / 2.0) * _boltzmann_weights(z, cfg, geom) / norm
     return out if out.ndim else float(out)
 
 
 def sequential_lattice(cfg: ThermalModelConfig, geom: LatticeGeometry) -> SlabChain:
     """Thermal lattice: n_s periods of n_ss Boltzmann-weighted sublayers.
 
-    Each sublayer carries the local surface density n_loc(z_nu)*dz and, when
-    stark_enabled, the local blue shift U_depth(z_nu).
+    Sublayer nu carries n*lambda_dip/2 * w_nu / sum(w), w the Boltzmann
+    weights on the sublayer midpoints z_nu (no volume density, which could
+    overflow), and, when stark_enabled, the local blue shift U_depth(z_nu).
     """
     dz = geom.lambda_dip / (2.0 * cfg.n_ss)
     grid = sublayer_positions(cfg.n_ss, geom.lambda_dip)
@@ -120,7 +123,8 @@ def sequential_lattice(cfg: ThermalModelConfig, geom: LatticeGeometry) -> SlabCh
         if cfg.stark_enabled:
             stark[cfg.n_ss // 2] = cfg.U0
     else:
-        sd = local_density(grid, cfg, geom) * dz
+        w = _boltzmann_weights(grid, cfg, geom)
+        sd = cfg.n * (geom.lambda_dip / 2.0) * w / float(np.sum(w))
         if cfg.stark_enabled:
             stark = local_depth(grid, cfg.U0, geom.k_dip, cfg.potential_form)
         else:

@@ -382,6 +382,7 @@ def _config_text(entries):
     {("model", "kind"): "perfect"},
     {("model", "kind"): "sequential", ("model", "stark"): "on",
      ("geometry", "T"): "0 K"},
+    {("model", "kind"): "sequential", ("model", "n"): "1e302 cm^-3"},
     {("geometry", "lambda_brg"): "810 nm"},  # the Bragg angle is 0
     {("model", "f_dw"): "0"},
     {("model", "f_dw"): "1"},

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
+from braggstack.config import default_config_text, parse_config
 from braggstack.experiments import GRID_CHUNK, ORACLE_MAX_SLABS, OracleError, \
-    _chunked, _scattered
+    _chunked, _prominences, _scattered
 
 
 def test_spectrum_zero_density(cfg, geom):
@@ -679,3 +680,25 @@ def test_reflection_minima_matches_find_peaks(r, data):
     windowed = bs.reflection_minima(grid, r, prominence=prominence,
                                     window=(lo, hi))
     assert windowed.tolist() == [i for i in ref if lo <= grid[i] <= hi]
+
+
+@pytest.mark.parametrize("series", ["rounded noise", "default spectrum"])
+def test_reflection_minima_matches_find_peaks_on_long_series(series):
+    from scipy.signal import find_peaks
+
+    if series == "rounded noise":
+        # one-decimal levels: hundreds of candidates, plateaus and equal peaks
+        r = np.round(np.random.default_rng(7).standard_normal(1101), 1)
+    else:
+        run = parse_config(default_config_text())
+        r = bs.spectrum(run.build_chain(), run.scan.detuning_grid(),
+                        run.response, run.geometry).R
+    grid = np.arange(r.size) * 0.05
+    peaks, props = find_peaks(-r, prominence=0.0)
+    assert _prominences(-r, peaks).tobytes() == props["prominences"].tobytes()
+    # thresholds at exact prominences, where >= decides
+    exact = np.unique(props["prominences"])
+    for prominence in [0.0, 1e-3, *exact[::max(1, exact.size // 8)], exact[-1]]:
+        ref, _ = find_peaks(-r, prominence=prominence)
+        assert bs.reflection_minima(grid, r, prominence=prominence).tolist() \
+            == ref.tolist()
