@@ -13,10 +13,14 @@ iz = i*zeta_j and g = g_j:
 
 A chain of RUN_SLABS slabs or more is cut into RUNS runs of consecutive
 slabs that are scanned side by side, one numpy call per step for all runs.
-One pairwise star fold then combines the parts of the chain: the run
-amplitudes of a scan (a blocked scan: Blelloch, "Prefix sums and their
-applications", 1990) or, at a single detuning, the closed-form slab
-amplitudes, in log2 numpy calls.  Periodic chains take star powers of the
+A chain made of runs of identical slabs (the background sublayers of the
+two-component model) steps over those runs instead, where that takes fewer
+steps: each distinct (slab, run length) is the star power of the slab's
+closed-form amplitudes, and the runs are star-multiplied in the same
+side-by-side order (_runs, _run_scan).  One pairwise star fold then
+combines the parts of the chain: the run amplitudes of a scan (a blocked
+scan: Blelloch, "Prefix sums and their applications", 1990) or, at a single
+detuning, the closed-form slab amplitudes, in log2 numpy calls.  Periodic chains take star powers of the
 cell.  Field profiles take inclusive star scans by doubling from both ends
 (Hillis-Steele; Blelloch).  The public functions take and return 2x2
 transfer matrices on (E+, E-) amplitude pairs, shape (..., 2, 2) with grid
@@ -51,6 +55,10 @@ ZETA_BLOCK = 1 << 14
 # same scan, which keeps the bits of the written-out slab-by-slab scan.
 RUN_SLABS = 1024
 RUNS = 8
+# Kinds of runs of identical slabs whose grid amplitudes a run scan keeps at
+# once: 12 kinds of 4 rows hold as many numbers as the 6 rows of RUNS runs
+# of the slab scan.
+RUN_CACHE = 12
 # Field-profile samples per vectorized block: the default profile took the
 # same ~62 ms at 2^12..2^16 and ~100 ms at 2^18 and above (out of cache).
 PROFILE_BLOCK = 1 << 14
@@ -234,21 +242,27 @@ def _transfer(r, t, rp, tp) -> TransferMatrix:
     return m
 
 
+def _star_power(s, n: int):
+    """Star product of n >= 1 copies of the amplitudes s = (r, t, r', t'), by
+    repeated squaring: n.bit_length() + n.bit_count() - 2 star products."""
+    result = None
+    while True:
+        if n & 1:
+            result = s if result is None else _star(result, s)
+        n >>= 1
+        if not n:
+            return result
+        s = _star(s, s)
+
+
 def matrix_power(m: TransferMatrix, n: int) -> TransferMatrix:
     """m**n for transfer matrices with M22 != 0, as a star power of their
-    amplitudes by repeated squaring."""
+    amplitudes."""
     if n < 0:
         raise ValueError("power must be non-negative")
     if n == 0:
         return identity_matrix(m.shape[:-2])
-    base, result = _amplitudes(m), None
-    while True:
-        if n & 1:
-            result = base if result is None else _star(result, base)
-        n >>= 1
-        if not n:
-            return _transfer(*result)
-        base = _star(base, base)
+    return _transfer(*_star_power(_amplitudes(m), n))
 
 
 def _run_order(n_slabs: int, runs: int) -> np.ndarray:
@@ -322,11 +336,85 @@ def _scan(chain, delta, cfg, g):
     return r, t, u - 1.0, t
 
 
-def _slabs(chain, delta, cfg, g):
-    """Closed-form (r, t, r', t') of every slab at one detuning, (4, slabs)."""
-    iz = 1j * zeta(chain.surface_density, delta - chain.stark_shift, cfg)
+def _slabs(density, shift, delta, cfg, g):
+    """Closed-form (r, t, r', t') of slabs of surface density `density`, Stark
+    shift `shift` and gap phase g at detuning delta, broadcast: (4, slabs)
+    for every slab at one detuning, (4,) + grid for one slab over a grid."""
+    iz = 1j * zeta(density, delta - shift, cfg)
     q = 1.0 / (1.0 - iz)
     return np.stack((iz * q, g * q, iz * (g * g) * q, g * q))
+
+
+def _runs(chain):
+    """The chain as runs of consecutive identical slabs (same surface
+    density, Stark shift and gap), or None where stepping over them takes no
+    fewer steps than the slab scan takes slabs.  A run costs one star step,
+    and each distinct (slab, length L) kind once its closed-form amplitudes
+    and their star power (one step and L.bit_length() + L.bit_count() - 2
+    products), so the choice depends on the chain only.  Returns the first
+    slab and the length of every kind and the kind of every run, in chain
+    order."""
+    keys = np.stack((chain.surface_density, chain.stark_shift, chain.gap_after))
+    starts = np.flatnonzero(np.append(True, np.any(keys[:, 1:] != keys[:, :-1],
+                                                   axis=0)))
+    if starts.size + 1 >= chain.n_slabs:  # no fewer steps, whatever the kinds
+        return None
+    lengths = np.diff(np.append(starts, chain.n_slabs))
+    _, first, kind = np.unique(np.vstack((keys[:, starts], lengths)), axis=1,
+                               return_index=True, return_inverse=True)
+    length = lengths[first]
+    steps = starts.size + sum(int(n).bit_length() + int(n).bit_count() - 1
+                              for n in length)
+    return (starts[first], length, kind.ravel()) if steps < chain.n_slabs else None
+
+
+def _run_scan(chain, delta, cfg, g, runs):
+    """(r, t, r', t') of every part of the chain over a grid, (4, parts) +
+    grid, for _fold, stepping over the runs of identical slabs of _runs:
+    each run is the star power of its slab's closed-form amplitudes.  A
+    sequence of RUN_SLABS runs or more is cut into RUNS parts of consecutive
+    runs that are star-multiplied side by side in _run_order, shorter ones
+    are one part, like the slab scan's runs of slabs.  The amplitudes of a
+    kind are computed where a run first needs them and kept while a later
+    run needs them too, of at most RUN_CACHE kinds at once (the others are
+    computed again), so no (kinds, grid) table grows with the chain."""
+    slab, length, kind = runs
+    n = kind.size
+    parts = RUNS if n >= RUN_SLABS else 1
+    seq = kind[_run_order(n, parts)]
+    # position of the next run of the same kind, in scan order; n if none
+    later = np.full(n, n)
+    by_kind = np.argsort(seq, kind="stable")
+    again = seq[by_kind[1:]] == seq[by_kind[:-1]]
+    later[by_kind[:-1][again]] = by_kind[1:][again]
+    kept = {}
+
+    def amplitudes(i):
+        k = seq[i]
+        a = kept.pop(k, None)
+        if a is None:
+            j = slab[k]
+            a = _star_power(_slabs(chain.surface_density[j], chain.stark_shift[j],
+                                   delta, cfg, g[j]), int(length[k]))
+        if later[i] < n and len(kept) < RUN_CACHE:
+            kept[k] = a
+        return a
+
+    def step(s):  # the runs of step s, one per part that reaches it
+        here = range(s, min(s + parts, n))
+        out = np.empty((4, len(here)) + delta.shape, dtype=complex)
+        for p, i in enumerate(here):
+            out[:, p] = amplitudes(i)
+        return out
+
+    acc = step(0)
+    for s in range(parts, n, parts):
+        b = step(s)
+        if len(b[0]) == parts:
+            acc = _star(acc, b)
+        else:  # the last step: only the first parts reach it
+            acc[:, :len(b[0])] = _star(acc[:, :len(b[0])], b)
+    return acc
 
 
 def _fold(s):
@@ -357,15 +445,24 @@ def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
 
     `delta_brg` may be a scalar or a grid; grid axes lead the 2x2 axes of the
     result.  A grid is scanned slab by slab, elementwise, in runs whose
-    number depends on the slab count only (see _scan), so grid slices carry
-    the bits of the whole grid; a scalar detuning takes the closed-form slab
-    amplitudes.  Either set of parts is then star-folded pairwise (_fold).
+    number depends on the slab count only (see _scan), or steps over the
+    chain's runs of identical slabs where that takes fewer steps (_runs,
+    _run_scan).  Which path, and how many parts, depends on the chain only,
+    so grid slices carry the bits of the whole grid.  A scalar detuning takes
+    the closed-form slab amplitudes.  Every set of parts is then star-folded
+    pairwise (_fold).
     """
     delta = require_finite("delta_brg", delta_brg)
     if chain.n_slabs == 0:
         return identity_matrix(delta.shape)
     g = np.exp(1j * (geom.k_brg * chain.gap_after * math.cos(geom.beta_i)))
-    return _transfer(*_fold((_scan if delta.ndim else _slabs)(chain, delta, cfg, g)))
+    if not delta.ndim:
+        parts = _slabs(chain.surface_density, chain.stark_shift, delta, cfg, g)
+    elif (runs := _runs(chain)) is None:
+        parts = _scan(chain, delta, cfg, g)
+    else:
+        parts = _run_scan(chain, delta, cfg, g, runs)
+    return _transfer(*_fold(parts))
 
 
 def chain_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
@@ -443,7 +540,7 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
 
     # E+ at the end of every gap; no slab follows the last, so its r_R is 0
     exits = np.exp(1j * k_z * gaps)
-    slabs = _slabs(flat, delta, cfg, exits)
+    slabs = _slabs(flat.surface_density, flat.stark_shift, delta, cfg, exits)
     right = _prefixes(slabs[[2, 3, 0, 1], ::-1])[[2, 3, 0, 1], ::-1]
     left = _prefixes(slabs)
     r_right = np.append(right[0, 1:], 0.0)

@@ -83,10 +83,14 @@ def perfect_lattice(n: float, n_s: int, geom: LatticeGeometry) -> SlabChain:
 
 
 def _boltzmann_weights(z, cfg: ThermalModelConfig, geom: LatticeGeometry):
-    """exp(-U_above(z) / k_B T) at offsets z from the well, for T > 0."""
+    """exp(-(U_above(z) - U_low) / k_B T) at offsets z from the well, for
+    T > 0, with U_low the lowest energy on the sublayer midpoints: the
+    largest midpoint weight is 1, so their sum cannot underflow at any T."""
     kT = k_B * cfg.T / hbar  # thermal energy in rad/s
-    return np.exp(-np.asarray(potential_above_minimum(z, cfg.U0, geom.k_dip,
-                                                      cfg.potential_form)) / kT)
+    low = np.min(potential_above_minimum(sublayer_positions(cfg.n_ss, geom.lambda_dip),
+                                         cfg.U0, geom.k_dip, cfg.potential_form))
+    u = potential_above_minimum(z, cfg.U0, geom.k_dip, cfg.potential_form)
+    return np.exp(-(np.asarray(u) - low) / kT)
 
 
 def local_density(z, cfg: ThermalModelConfig, geom: LatticeGeometry):

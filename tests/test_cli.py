@@ -383,6 +383,7 @@ def _config_text(entries):
     {("model", "kind"): "sequential", ("model", "stark"): "on",
      ("geometry", "T"): "0 K"},
     {("model", "kind"): "sequential", ("model", "n"): "1e302 cm^-3"},
+    {("model", "kind"): "sequential", ("geometry", "T"): "1e-9 K"},
     {("geometry", "lambda_brg"): "810 nm"},  # the Bragg angle is 0
     {("model", "f_dw"): "0"},
     {("model", "f_dw"): "1"},

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.engine import RUN_SLABS, RUNS, ZETA_BLOCK, _run_order, _star, \
-    _zeta_blocks
+from braggstack.engine import RUN_SLABS, RUNS, ZETA_BLOCK, _fold, _run_order, \
+    _runs, _scan, _star, _transfer, _zeta_blocks
 
 
 def _random_flat_chain(rng, n, gamma=bs.GAMMA_RB85_D2):
@@ -435,9 +436,14 @@ def _star_scan(chain, delta, cfg, geom):
         r = r + (iz * t) * a
         t = a * g[j]
         u = (u * w - 1.0) * (g * g)[j] + 1.0
-    rp, inv = u - 1.0, 1.0 / t
-    m = np.empty(delta.shape + (2, 2), dtype=complex)
-    m[..., 0, 0] = t - r * rp * inv
+    return _to_transfer(r, t, u - 1.0, t)
+
+
+def _to_transfer(r, t, rp, tp):
+    """The written-out transfer matrix of amplitudes (r, t, r', t')."""
+    inv = 1.0 / t
+    m = np.empty(np.shape(t) + (2, 2), dtype=complex)
+    m[..., 0, 0] = tp - r * rp * inv
     m[..., 0, 1] = r * inv
     m[..., 1, 0] = -rp * inv
     m[..., 1, 1] = inv
@@ -453,17 +459,48 @@ def _sequential_fold(chain, delta, cfg, geom):
     return m
 
 
+def _run_fold(chain, delta, cfg, geom):
+    """The written-out run fold: closed-form amplitudes of the first slab of
+    every run of identical slabs, its star power by repeated squaring, and
+    the runs star-multiplied first run first."""
+    keys = list(zip(chain.surface_density, chain.stark_shift, chain.gap_after))
+    runs = [[keys[0], 0]]
+    for key in keys:
+        if key == runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([key, 1])
+    total = None
+    for (sd, shift, gap), n in runs:
+        g = np.exp(1j * (geom.k_brg * gap * math.cos(geom.beta_i)))
+        iz = 1j * bs.zeta(sd, delta - shift, cfg)
+        q = 1.0 / (1.0 - iz)
+        base, power = np.stack((iz * q, g * q, iz * (g * g) * q, g * q)), None
+        while n:
+            if n & 1:
+                power = base if power is None else _stacked_star(power, base)
+            n >>= 1
+            if n:
+                base = _stacked_star(base, base)
+        total = power if total is None else _stacked_star(total, power)
+    return _to_transfer(*total)
+
+
 def test_unit_cell_matrix_on_grids_is_sequential_fold_bitwise(cfg, geom):
-    # any grid, one point included, is scanned slab by slab, gap after slab:
-    # the bits of the written-out scan, and the transfer-matrix product to
-    # rounding
+    # any grid, one point included: a chain without runs of identical slabs
+    # (a Stark chain) is scanned slab by slab, gap after slab, with the bits
+    # of the written-out scan; the two-component cell (3 runs: the ordered
+    # slab, 19 sublayers, a last sublayer with a half gap) steps over its
+    # runs with the bits of the written-out run fold; both are the
+    # transfer-matrix product to rounding
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
+    two = bs.two_component_lattice(3e17, 0.2, 4, 20, geom)
     for delta in (bs.detuning_grid() * cfg.gamma, np.array([0.7 * cfg.gamma])):
-        for chain in (stark, bs.two_component_lattice(3e17, 0.2, 4, 20, geom)):
+        for chain, written in ((stark, _star_scan), (two, _run_fold)):
             m = _sequential_fold(chain, delta, cfg, geom)
             got = bs.unit_cell_matrix(chain, delta, cfg, geom)
-            assert got.tobytes() == _star_scan(chain, delta, cfg, geom).tobytes()
+            assert got.tobytes() == written(chain, delta, cfg, geom).tobytes()
             assert np.max(np.abs(got - m)) <= 1e-12 * np.max(np.abs(m))
 
 
@@ -518,6 +555,106 @@ def test_run_count_never_depends_on_the_grid(cfg, geom):
             swept = bs.sweep_scatter(chain, delta, cfg, geom)
         for f in ("r", "t", "big_r", "big_t", "big_a", "phi"):
             assert getattr(swept, f).tobytes() == getattr(whole, f).tobytes()
+
+
+def _chain_of_runs(seed, n_runs, n_kinds, max_length, periods=1,
+                   gamma=bs.GAMMA_RB85_D2):
+    """n_runs runs of 1..max_length identical slabs, each of one of n_kinds
+    slab kinds (a kind may follow itself), a quarter of the densities and of
+    the gaps zero."""
+    rng = np.random.default_rng(seed)
+    sd, gap = rng.uniform(0.0, 3e11, n_kinds), rng.uniform(0.0, 1.5e-6, n_kinds)
+    sd[rng.random(n_kinds) < 0.25] = 0.0
+    gap[rng.random(n_kinds) < 0.25] = 0.0
+    kinds = np.stack((sd, rng.uniform(-5.0, 5.0, n_kinds) * gamma, gap))
+    slabs = np.repeat(kinds[:, rng.integers(0, n_kinds, n_runs)],
+                      rng.integers(1, max_length + 1, n_runs), axis=1)
+    return bs.SlabChain(*slabs, periods=periods)
+
+
+def _slab_scan_matrix(chain, delta, cfg, geom):
+    """chain_matrix with the cell scanned slab by slab."""
+    g = np.exp(1j * (geom.k_brg * chain.gap_after * math.cos(geom.beta_i)))
+    cell = _transfer(*_fold(_scan(chain, delta, cfg, g)))
+    return bs.matrix_power(cell, chain.periods) if chain.periods > 1 else cell
+
+
+# flat chains of 1-30 runs and of RUN_SLABS runs and more (RUNS parts side by
+# side), and periodic cells of 1-8 runs over 2-60 periods
+_chains_of_runs = st.one_of(
+    st.builds(_chain_of_runs, st.integers(0, 2**32 - 1),
+              st.one_of(st.integers(1, 30),
+                        st.integers(RUN_SLABS, RUN_SLABS + 2 * RUNS)),
+              st.integers(1, 6), st.integers(1, 40)),
+    st.builds(_chain_of_runs, st.integers(0, 2**32 - 1), st.integers(1, 8),
+              st.integers(1, 4), st.integers(1, 40), st.integers(2, 60)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=_chains_of_runs,
+       deltas=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=3))
+def test_run_path_matches_slab_scan_and_oracle(cfg, geom, chain, deltas):
+    # a chain stepped over its runs of identical slabs (where that takes
+    # fewer steps; otherwise it is the slab scan, bit for bit) agrees with
+    # the slab scan to rounding and with the oracle, and grid slices of one
+    # point carry the bits of the whole grid.  Near a band edge the rounding
+    # of a star power grows like the slab count N, as in the Bragg-phase
+    # law (5,000 identical slabs without gaps: r off the closed form by
+    # 5.8e-13 as a star power, by 3.2e-15 scanned slab by slab), so past
+    # 1,000 slabs the amplitudes agree within 1e-15 N
+    delta = np.array(deltas) * cfg.gamma
+    got = bs.chain_matrix(chain, delta, cfg, geom)
+    want = _slab_scan_matrix(chain, delta, cfg, geom)
+    if _runs(chain) is None:
+        assert got.tobytes() == want.tobytes()
+    res, ref = bs.scatter(got), bs.scatter(want)
+    bound = max(1e-12, 1e-15 * chain.total_slabs)
+    assert np.max(np.abs(res.r - ref.r)) <= bound
+    assert np.max(np.abs(res.t - ref.t)) <= bound
+    for i, d in enumerate(delta):
+        r_o, t_o = bs.solve_boundary_value(chain, d, cfg, geom)
+        assert abs(res.r[i] - r_o) < 1e-10 and abs(res.t[i] - t_o) < 1e-10
+    with mock.patch.object(bs.experiments, "GRID_CHUNK", 1):
+        swept = bs.sweep_scatter(chain, delta, cfg, geom)
+    for f in ("r", "t", "big_r", "big_t", "big_a", "phi"):
+        assert getattr(swept, f).tobytes() == getattr(res, f).tobytes()
+
+
+def test_run_path_is_taken_by_the_chain_alone(cfg, geom):
+    # the default cell is 3 runs; 600 periods of it flat are 1,800 runs of 3
+    # kinds.  A Stark cell, the same flat (whose period joints are runs of
+    # two), a perfect lattice cell and random slabs keep the slab scan
+    cell = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
+    slab, length, kind = _runs(cell)
+    assert sorted(length.tolist()) == [1, 1, 19] and kind.size == 3
+    slab, length, kind = _runs(cell.repeated())
+    assert sorted(length.tolist()) == [1, 1, 19] and kind.size == 1800
+    stark = bs.sequential_lattice(bs.ThermalModelConfig(
+        n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
+    for chain in (stark, stark.repeated(), bs.perfect_lattice(3e17, 9, geom),
+                  _random_flat_chain(np.random.default_rng(3), 40)):
+        assert _runs(chain) is None
+    assert _runs(bs.perfect_lattice(3e17, 9, geom).repeated()) is not None
+
+
+def test_run_path_memory_does_not_grow_with_its_kinds(cfg, geom):
+    # 1,100 distinct runs of 12 slabs (RUNS parts side by side) over 8,192
+    # points: a (kinds, grid) table of their amplitudes would take 577 MB.
+    # The run path peaks within three times the slab scan's state of six
+    # (RUNS, grid) arrays
+    rng = np.random.default_rng(5)
+    chain = bs.SlabChain(*(np.repeat(rng.uniform(0.0, top, 1100), 12)
+                           for top in (3e11, 5.0 * cfg.gamma, 1.5e-6)))
+    slab, length, kind = _runs(chain)
+    assert slab.size == kind.size == 1100 and set(length) == {12}
+    delta = np.linspace(-12.0, 12.0, 8192) * cfg.gamma
+    tracemalloc.start()
+    try:
+        bs.unit_cell_matrix(chain, delta, cfg, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 6 * RUNS * delta.nbytes * 2, peak
 
 
 def _disordered_flat_chain(rng, geom):

@@ -84,6 +84,27 @@ def test_sequential_t0_concentrates_center(geom):
     assert chain.stark_shift[10] == geom.U0
 
 
+@pytest.mark.parametrize("T", [1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize("n_ss", [4, 5, 20, 21])
+def test_sequential_low_temperature_approaches_t0(geom, T, n_ss):
+    # every Boltzmann weight on the midpoints underflows at these T unless
+    # taken relative to the lowest midpoint energy: the densities stay finite
+    # and sum to n*lambda_dip/2, held by the midpoint(s) nearest the well,
+    # where the T = 0 builder puts them (an even n_ss has two, equally near)
+    total = 3e17 * geom.lambda_dip / 2
+    sd = bs.sequential_lattice(thermal_cfg(geom, n_s=10, n_ss=n_ss, T=T),
+                               geom).surface_density
+    t0 = bs.sequential_lattice(thermal_cfg(geom, n_s=10, n_ss=n_ss, T=0.0),
+                               geom).surface_density
+    assert np.all(np.isfinite(sd))
+    assert float(np.sum(sd)) == pytest.approx(total, rel=1e-12)
+    if n_ss % 2:
+        np.testing.assert_allclose(sd, t0, rtol=0, atol=1e-12 * total)
+    else:
+        centre = sd[n_ss // 2 - 1:n_ss // 2 + 1]
+        np.testing.assert_allclose(centre, t0[n_ss // 2] / 2, rtol=1e-6)
+
+
 def test_sequential_nss1_reduces_to_perfect(cfg, geom):
     seq = bs.sequential_lattice(thermal_cfg(geom, n_ss=1, stark=False, T=0.0), geom)
     per = bs.perfect_lattice(3e17, 50, geom)
@@ -130,6 +151,20 @@ def test_two_component_f0_beer_lambert(cfg, geom):
     length = 120 * geom.lambda_dip / 2
     z_pd = bs.penetration_depth(3e17, 0.0, bs.cross_section(0.0, cfg))
     assert res.big_t == pytest.approx(math.exp(-length / z_pd), rel=0.05)
+
+
+def test_two_component_spectra_converge_quadratically_in_n_ss(cfg, geom):
+    # the n_ss sublayers stand in for a homogeneous background: on the
+    # default grid the largest change of R and of T from n_ss to 2 n_ss
+    # shrinks about fourfold per doubling of n_ss (second order)
+    grid = bs.detuning_grid()
+    spectra = [bs.spectrum(bs.two_component_lattice(3e17, 0.2, 600, n_ss, geom),
+                           grid, cfg, geom) for n_ss in (10, 20, 40, 80, 160)]
+    for col in ("R", "T"):
+        steps = [np.max(np.abs(getattr(a, col) - getattr(b, col)))
+                 for a, b in zip(spectra, spectra[1:])]
+        for coarse, fine in zip(steps, steps[1:]):
+            assert 3.0 <= coarse / fine <= 5.0, (col, steps)
 
 
 def test_two_component_monotone_disorder(cfg, geom):
