@@ -236,7 +236,7 @@ def _waist(raw, line, values):
             density = atom_number_to_density(1.0, geom)
         except OverflowError:  # sigma_r**2
             density = 0.0
-        except ZeroDivisionError:  # a volume of 0
+        except ValueError:  # a volume of 0
             density = math.inf
         if not 0.0 < density < math.inf:
             raise ConfigError(f"w_dip is outside the float range: one atom in the "

@@ -595,13 +595,15 @@ def density_of_states(delta_grid, theta):
     zero wherever Im(theta) > 1e-9 (inside a stop band).  Warns when the
     grid is too coarse to trust the derivative.
     """
-    delta = np.asarray(delta_grid, dtype=float)
+    delta = require_finite("delta_grid", delta_grid)
     theta = np.asarray(theta, dtype=complex)
     if delta.ndim != 1 or delta.shape != theta.shape:
         raise ValueError("delta_grid and theta must be matching 1D arrays")
     if delta.size < 3:
         raise ValueError("need at least 3 grid points")
     steps = np.diff(delta)
+    if steps[0] == 0.0:
+        raise ValueError("delta_grid must have a non-zero step")
     if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
         raise ValueError("detuning grid must be uniform")
     re = theta.real

@@ -177,6 +177,9 @@ def atom_number_to_density(n_atoms: float, geom: LatticeGeometry) -> float:
     """
     sigma_r = geom.derived().sigma_r
     volume = FILLED_PERIODS * (geom.lambda_dip / 2.0) * 2.0 * math.pi * sigma_r**2
+    if volume == 0.0:
+        raise ValueError(f"the cloud has zero volume: its radial width sigma_r = "
+                         f"{sigma_r!r} m (T = {geom.T!r} K) squares to 0")
     return n_atoms / volume
 
 
@@ -237,6 +240,9 @@ def radial_average(n_peak: float, sigma_r: float, n_rings: int, build_chain,
     n_rings = require_int("n_rings", n_rings)
     if n_rings < 1:
         raise ValueError("n_rings must be >= 1")
+    if not sigma_r > 0.0:
+        raise ValueError(f"sigma_r must be positive (inf for a uniform cloud), "
+                         f"got {sigma_r!r}")
     grid = np.asarray(delta_over_gamma, dtype=float)
     rho_max = 2.5 * sigma_r
     acc = None

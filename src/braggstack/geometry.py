@@ -139,11 +139,11 @@ class LatticeGeometry:
             raise ValueError("need 0 < lambda_brg <= lambda_dip")
         if not 0.0 <= self.beta_i < math.pi / 2.0:
             raise ValueError("beta_i must lie in [0, pi/2)")
-        if self.U0 <= 0.0:
+        if not self.U0 > 0.0:
             raise ValueError("U0 must be positive")
-        if self.T < 0.0:
+        if not self.T >= 0.0:
             raise ValueError("T must be non-negative")
-        if self.w_dip <= 0.0:
+        if not self.w_dip > 0.0:
             raise ValueError("w_dip must be positive")
 
     @property

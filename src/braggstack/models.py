@@ -39,12 +39,14 @@ class ThermalModelConfig:
     potential_form: str = "harmonic"
 
     def __post_init__(self):
-        if self.n < 0.0:
+        if not self.n >= 0.0:
             raise ValueError("density must be non-negative")
         if self.n_s < 1 or self.n_ss < 1:
             raise ValueError("n_s and n_ss must be >= 1")
-        if self.T < 0.0:
+        if not self.T >= 0.0:
             raise ValueError("T must be non-negative")
+        if not self.U0 > 0.0:
+            raise ValueError("U0 must be positive")
         if self.potential_form not in POTENTIAL_FORMS:
             raise ValueError(f"potential_form must be one of {POTENTIAL_FORMS}")
 

@@ -29,7 +29,9 @@ class SpectralLine:
     strength: float
 
     def __post_init__(self):
-        if self.strength < 0.0:
+        if not math.isfinite(self.delta_f):
+            raise ValueError("line offset delta_f must be finite")
+        if not self.strength >= 0.0:
             raise ValueError("line strength must be non-negative")
 
 
@@ -57,12 +59,14 @@ class AtomResponseConfig:
     lambda_brg: float
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
         if not self.lines:
             raise ValueError("need at least one spectral line")
+        if not self.lambda_brg > 0.0:
+            raise ValueError("lambda_brg must be positive")
         total = sum(line.strength for line in self.lines)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"line strengths must sum to 1, got {total}")
 
 

@@ -7,9 +7,11 @@ The CSV rows are formatted by numpy, BLOCK_ROWS rows at a time, to the bytes
 of format_float(float(v)) in every cell.  Each cell's 17 digits come from an
 error-free double-double product (Dekker, Numer. Math. 18, 224 (1971)) with a
 table of powers of ten; the digits and their decimal exponent are correctly
-rounded (Steele & White, PLDI 1990).  A row holding nan, inf, or a cell
-whose scaled fraction lies within _TIE of 1/2 goes through Python's %
-instead: 2^-25 = 2.98023223876953125e-08 is an exact tie at the 17th digit.
+rounded (Steele & White, PLDI 1990).  A block holding a cell the tables
+cannot decide goes through one Python % instead: nan, inf, a scaled
+fraction within _TIE of 1/2 (2^-25 = 2.98023223876953125e-08 is an exact
+tie at the 17th digit), or a product outside the 17-digit range, where
+floor(log10) missed the decade.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ _TIE = 2.0 ** -30  # far above the product's error, ~2^-46 at 10^17
 # the forms are the fixed ones of decimal exponent -4..16 and the four
 # exponent ones (exponent sign, two or three exponent digits).
 _FORMS = 21 + 4
-_KEYS = 2 * _FORMS * 17  # one more key keeps nothing: a row Python formats
+_KEYS = 2 * _FORMS * 17
 
 
 def format_float(x: float) -> str:
@@ -56,8 +58,7 @@ def _tables():
     text: per k, 17 times the form of decimal exponent x = 16 - k and the
     word of "e+-" and the digits of |x|; the first word of a slot per first
     digit; the four digits of 0..9999, each followed by a point, as one word,
-    and their trailing zero counts; the keep-mask of every key, as words,
-    and its byte count.
+    and their trailing zero counts; the keep-mask of every key, as words.
     """
     hi, lo, two, forms = [], [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -84,7 +85,7 @@ def _tables():
     dotted[:, ::2] = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10],
                               axis=1) + ord("0")
     zeros = sum((i % 10 ** p == 0).astype(int) for p in range(1, 5))
-    masks = np.zeros((_KEYS + 1, 48), bool)
+    masks = np.zeros((_KEYS, 48), bool)
     digit = np.arange(6, 39, 2)
     for key in range(_KEYS):
         m = masks[key]
@@ -104,14 +105,14 @@ def _tables():
             m[43] = form in (22, 24)
     return ((hi, np.array(lo), np.array(two), hh, hi - hh),
             (np.array(forms), expo, leads, dotted.view("<u8").ravel(), zeros,
-             masks.view("<u8"), masks.sum(axis=1)))
+             masks.view("<u8")))
 
 
 def _scaled(a, x, powers):
-    """a * 10^(16 - x) as a double-double (h, l), |l| <= ulp(h) / 2, and -1,
-    0 or 1 where that lies below 10^16 - _TIE, in range, or at or above
-    10^17 + _TIE.  Within _TIE of either end both exponents give the same
-    text, so the product's error there decides nothing."""
+    """a * 10^(16 - x) as a double-double (h, l), |l| <= ulp(h) / 2, and
+    where that lies outside [10^16 - _TIE, 10^17 + _TIE).  Within _TIE of
+    either end both exponents give the same text, so the product's error
+    there decides nothing."""
     hi, lo, two, hh, hl = (table.take(16 - _K_MIN - x) for table in powers)
     m, e = np.frexp(a)
     c = m * 134217729.0
@@ -123,27 +124,22 @@ def _scaled(a, x, powers):
     s -= h - p
     e += two
     h, l = np.ldexp(h, e), np.ldexp(s, e)
-    return h, l, (((h - 1e17) + l >= _TIE).view(np.int8)
-                  - ((h - 1e16) + l < -_TIE).view(np.int8))
+    return h, l, ((h - 1e17) + l >= _TIE) | ((h - 1e16) + l < -_TIE)
 
 
 def _digits(a, powers):
     """For finite positive a: the 17-digit integer d, the decimal exponent x
-    of its first digit, and where the rounding is too close to call."""
+    of its first digit, and where they are undecided: the rounding is too
+    close to call, or floor(log10) missed the decade near a power of ten."""
     x = np.floor(np.log10(a)).astype(np.int64)
-    h, l, off = _scaled(a, x, powers)
-    i = np.flatnonzero(off)
-    while i.size:  # log10 near a power of ten: one step toward it
-        x[i] += off[i]
-        h[i], l[i], off[i] = _scaled(a[i], x[i], powers)
-        i = i[off[i] != 0]
+    h, l, outside = _scaled(a, x, powers)
     whole = np.floor(l)
     l -= whole
     d = h.astype(np.int64) + whole.astype(np.int64) + (l > 0.5)
     up = d == 10 ** 17  # 99999999999999999.5 and above: one digit more
     d[up] = 10 ** 16
     x[up] += 1
-    return d, x, np.abs(l - 0.5) < _TIE
+    return d, x, (np.abs(l - 0.5) < _TIE) | outside
 
 
 def _divmod(n, unit):
@@ -153,7 +149,7 @@ def _divmod(n, unit):
 
 def _format_block(arrays) -> str:
     """The CSV rows of equal-length 1-d columns of kinds b, i, u and f."""
-    powers, (forms, expo, leads, dotted, zeros, masks, sizes) = _tables()
+    powers, (forms, expo, leads, dotted, zeros, masks) = _tables()
     n, cols = len(arrays[0]), len(arrays)
     v = np.empty((n, cols))
     with np.errstate(invalid="ignore"):  # a float32 signalling NaN stays NaN
@@ -164,9 +160,10 @@ def _format_block(arrays) -> str:
     bad = ~np.isfinite(a)
     zero = a == 0.0
     a[bad | zero] = 1.0
-    d, x, tie = _digits(a, powers)
+    d, x, undecided = _digits(a, powers)
+    if bad.any() or undecided.any():  # rare: one Python % formats the block
+        return (",".join(["%.17g"] * cols) + "\n") * n % tuple(v.tolist())
     d[zero], x[zero] = 0, 0
-    bad |= tie
     high, low = _divmod(d, 10 ** 8)
     top, high = _divmod(high, 10 ** 8)
     quads = [*_divmod(high, 10 ** 4), *_divmod(low, 10 ** 4)]
@@ -176,10 +173,6 @@ def _format_block(arrays) -> str:
     trailing[zero] = 16
     k = 16 - _K_MIN - x  # the table row of decimal exponent x
     key = forms.take(k) + np.signbit(v) * (17 * _FORMS) + 16 - trailing
-    key = key.reshape(n, cols)
-    python = (np.flatnonzero(bad.reshape(n, cols).any(axis=1)).tolist()
-              if bad.any() else [])  # the rows that Python's % formats
-    key[python] = _KEYS
     words = np.empty((n, cols, 6), "<u8")
     w = words.reshape(n * cols, 6)
     w[:, 0] = leads.take(top)
@@ -188,17 +181,7 @@ def _format_block(arrays) -> str:
     seps = np.array([ord(",") << 56] * (cols - 1) + [ord("\n") << 56], "<u8")
     np.add(expo.take(k).reshape(n, cols), seps, out=words[:, :, 5])
     keep = np.take(masks, key, axis=0).view(bool).ravel()
-    text = np.compress(keep, words.view(np.uint8).ravel()).tobytes().decode("ascii")
-    if not python:
-        return text
-    ends = np.cumsum(sizes.take(key).sum(axis=1)).tolist()
-    row = ",".join(["%.17g"] * cols) + "\n"
-    v = v.reshape(n, cols)
-    out, start = [], 0
-    for i in python:
-        out += [text[start:ends[i]], row % tuple(v[i].tolist())]
-        start = ends[i]
-    return "".join(out) + text[start:]
+    return np.compress(keep, words.view(np.uint8).ravel()).tobytes().decode("ascii")
 
 
 def _blocks(columns: dict, metadata: dict | None):

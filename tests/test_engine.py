@@ -335,6 +335,14 @@ def test_density_of_states_coarse_grid_warns():
         bs.density_of_states(delta, theta)
 
 
+@pytest.mark.parametrize("delta, message", [
+    (np.array([0.0, math.nan, 2.0, 3.0]), r"^delta_grid must be finite: nan at index 1$"),
+    (np.full(4, 0.5), r"^delta_grid must have a non-zero step$")])
+def test_density_of_states_refuses_a_grid_it_cannot_differentiate(delta, message):
+    with pytest.raises(ValueError, match=message):
+        bs.density_of_states(delta, np.full(4, 0.3, dtype=complex))
+
+
 def test_slab_chain_validation():
     with pytest.raises(ValueError):
         bs.SlabChain([-1.0], [0.0], [0.0])

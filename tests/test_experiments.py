@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -502,6 +503,20 @@ def test_atom_number_density_mapping(geom):
     assert bs.atom_number_to_density(1e7, geom) == pytest.approx(1e7 / volume)
 
 
+def test_atom_number_to_density_refuses_a_cloud_of_zero_volume(cfg, geom):
+    cold = dataclasses.replace(geom, T=0.0)
+    with pytest.raises(ValueError, match=r"zero volume: its radial width sigma_r = 0\.0 m"):
+        bs.atom_number_to_density(1e7, cold)
+    with pytest.raises(ValueError, match="zero volume"):
+        bs.saturation_scan([1e7], cold, cfg, n_s=5, n_ss=2,
+                           delta_over_gamma=bs.detuning_grid(-1, 1, 5))
+    # sigma_r**2 underflows; a numpy float used to give inf with a RuntimeWarning
+    thin = dataclasses.replace(geom, w_dip=np.float64(1e-300))
+    assert 0.0 < thin.derived().sigma_r
+    with pytest.raises(ValueError, match="zero volume"):
+        bs.atom_number_to_density(1e7, thin)
+
+
 def test_lattice_constant_scan_family(cfg1, geom):
     grid = bs.detuning_grid(-10, 10, 161)
     dls = (-0.4e-9, 0.0, 0.4e-9)
@@ -547,6 +562,14 @@ def test_detuning_grid_rejects_a_non_integer_point_count():
     with pytest.raises(TypeError, match=r"^points must be an integer: 5\.0$"):
         bs.detuning_grid(-1, 1, 5.0)
     assert _same_bits(bs.detuning_grid(-1, 1, np.int64(5)), np.linspace(-1, 1, 5))
+
+
+@pytest.mark.parametrize("sigma_r", [0.0, -1e-5, math.nan, -math.inf])
+def test_radial_average_refuses_a_width_that_is_not_positive(cfg, geom, sigma_r):
+    build = lambda n: bs.perfect_lattice(n, 20, geom)
+    with pytest.raises(ValueError, match=r"^sigma_r must be positive .*got "):
+        bs.radial_average(3e17, sigma_r, 2, build, bs.detuning_grid(-1, 1, 5),
+                          cfg, geom)
 
 
 def test_radial_average_rejects_a_non_integer_ring_count(cfg, geom):

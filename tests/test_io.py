@@ -227,7 +227,11 @@ def test_powers_of_ten_and_their_neighbours_format_as_per_cell():
 
 
 @pytest.mark.parametrize("values", [
-    [2.0**-25, 1.0, 3 * 2.0**-25], [1e300, 2.0**-25], [math.nan, 2.0**-25, 1.5, -0.0]])
+    [2.0**-25, 1.0, 3 * 2.0**-25], [1e300, 2.0**-25], [math.nan, 2.0**-25, 1.5, -0.0],
+    # cells where floor(log10) misses the decade (0.09999999999999999, 1e23,
+    # 9.999999999999999e-301), blocks of ordinary rows between them
+    [_near_power_of_ten(-1, -1), 1.5, 0.25, 2.5, _near_power_of_ten(23, 0),
+     -_near_power_of_ten(-300, -1), 3.0, 7.0, _near_power_of_ten(2, 1)]])
 def test_rows_of_ties_and_non_finite_cells_keep_their_places(values):
     n = len(values)
     columns = {"a": np.array(values), "b": np.arange(n) * 0.1, "c": np.arange(n) % 2 == 0}

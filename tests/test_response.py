@@ -108,6 +108,42 @@ def test_default_line_set_normalized():
                                [-31.0, -20.0, 0.0], rtol=1e-14)
 
 
+def _geometry(**changed):
+    return bs.LatticeGeometry(**{**dict(lambda_dip=810e-9, lambda_brg=780e-9, beta_i=0.3,
+                                        U0=1e7, T=1e-4, w_dip=2e-4), **changed})
+
+
+def _thermal(**changed):
+    return bs.ThermalModelConfig(**{**dict(n=1e17, n_s=1, n_ss=1, T=1e-6, U0=1e7),
+                                    **changed})
+
+
+def _response(gamma=bs.GAMMA_RB85_D2, delta_f=0.0, strength=1.0, lambda_brg=780e-9):
+    return bs.AtomResponseConfig(gamma, (bs.SpectralLine(delta_f, strength),), lambda_brg)
+
+
+@pytest.mark.parametrize("build, key, value, message", [
+    (_geometry, "U0", math.nan, "U0 must be positive"),
+    (_geometry, "T", math.nan, "T must be non-negative"),
+    (_geometry, "w_dip", math.nan, "w_dip must be positive"),
+    (_thermal, "n", math.nan, "density must be non-negative"),
+    (_thermal, "T", math.nan, "T must be non-negative"),
+    (_thermal, "U0", math.nan, "U0 must be positive"),
+    (_thermal, "U0", 0.0, "U0 must be positive"),
+    (_thermal, "U0", -1e7, "U0 must be positive"),
+    (_response, "gamma", math.nan, "gamma must be positive"),
+    (_response, "strength", math.nan, "line strength must be non-negative"),
+    (_response, "delta_f", math.nan, "delta_f must be finite"),
+    (_response, "delta_f", -math.inf, "delta_f must be finite"),
+    (_response, "lambda_brg", math.nan, "lambda_brg must be positive"),
+    (_response, "lambda_brg", -1.0, "lambda_brg must be positive"),
+])
+def test_constructors_refuse_nan_and_out_of_range_values(build, key, value, message):
+    # NaN passes a check written as x <= 0 or x < 0
+    with pytest.raises(ValueError, match=message):
+        build(**{key: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         bs.AtomResponseConfig(0.0, bs.rb85_d2_f3_lines(), 780e-9)
