@@ -13,20 +13,22 @@ iz = i*zeta_j and g = g_j:
 
 A chain of RUN_SLABS slabs or more is cut into RUNS runs of consecutive
 slabs that are scanned side by side, one numpy call per step for all runs.
-A chain made of runs of identical slabs (the background sublayers of the
-two-component model) steps over those runs instead, where that takes fewer
-steps: each distinct (slab, run length) is the star power of the slab's
-closed-form amplitudes, and the runs are star-multiplied in the same
-side-by-side order (_runs, _run_scan).  One pairwise star fold then
-combines the parts of the chain: the run amplitudes of a scan (a blocked
-scan: Blelloch, "Prefix sums and their applications", 1990) or, at a single
-detuning, the closed-form slab amplitudes, in log2 numpy calls.  Periodic chains take star powers of the
-cell.  Field profiles take inclusive star scans by doubling from both ends
-(Hillis-Steele; Blelloch).  The public functions take and return 2x2
-transfer matrices on (E+, E-) amplitude pairs, shape (..., 2, 2) with grid
-axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A
-point layer is [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the
-diagonal phase exp(+-i k_z dz), so det M = 1.
+One pairwise star fold combines the runs of a scan (a blocked scan:
+Blelloch, "Prefix sums and their applications", 1990) or, at a single
+detuning, the closed-form slab amplitudes, in log2 numpy calls.  One rule
+covers repetition: a chain is the star power of the shortest prefix that
+it repeats whole (_period; a periodic chain written out flat repeats its
+cell), and chain_matrix takes the star power of the cell over periods.  A
+prefix made of runs of identical slabs (the background sublayers of the
+two-component model) steps over those runs first to last instead, where
+that takes fewer steps: each run is the star power of its slab's
+closed-form amplitudes (_runs, _run_scan).  Field profiles take inclusive
+star scans by doubling from both ends (Hillis-Steele; Blelloch).  The
+public functions take and return 2x2 transfer matrices on (E+, E-)
+amplitude pairs, shape (..., 2, 2) with grid axes leading: M22 = 1/t,
+M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A point layer is
+[[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the diagonal phase
+exp(+-i k_z dz), so det M = 1.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -55,10 +58,6 @@ ZETA_BLOCK = 1 << 14
 # same scan, which keeps the bits of the written-out slab-by-slab scan.
 RUN_SLABS = 1024
 RUNS = 8
-# Kinds of runs of identical slabs whose grid amplitudes a run scan keeps at
-# once: 12 kinds of 4 rows hold as many numbers as the 6 rows of RUNS runs
-# of the slab scan.
-RUN_CACHE = 12
 # Field-profile samples per vectorized block: the default profile took the
 # same ~62 ms at 2^12..2^16 and ~100 ms at 2^18 and above (out of cache).
 PROFILE_BLOCK = 1 << 14
@@ -345,76 +344,43 @@ def _slabs(density, shift, delta, cfg, g):
     return np.stack((iz * q, g * q, iz * (g * g) * q, g * q))
 
 
+def _period(chain):
+    """Length of the shortest prefix that the chain repeats whole, slab for
+    slab (same surface density, Stark shift and gap), to its end.  Only the
+    slabs equal to slab 0 at a divisor of the slab count can start a repeat."""
+    keys = sd, st, gp = chain.surface_density, chain.stark_shift, chain.gap_after
+    n = chain.n_slabs
+    same = (sd == sd[0]) & (st == st[0]) & (gp == gp[0])
+    for p in same.nonzero()[0][1:].tolist():
+        if n % p == 0 and all(np.array_equal(k[p:], k[:-p]) for k in keys):
+            return p
+    return n
+
+
 def _runs(chain):
-    """The chain as runs of consecutive identical slabs (same surface
-    density, Stark shift and gap), or None where stepping over them takes no
-    fewer steps than the slab scan takes slabs.  A run costs one star step,
-    and each distinct (slab, length L) kind once its closed-form amplitudes
-    and their star power (one step and L.bit_length() + L.bit_count() - 2
-    products), so the choice depends on the chain only.  Returns the first
-    slab and the length of every kind and the kind of every run, in chain
-    order."""
-    keys = np.stack((chain.surface_density, chain.stark_shift, chain.gap_after))
-    starts = np.flatnonzero(np.append(True, np.any(keys[:, 1:] != keys[:, :-1],
-                                                   axis=0)))
-    if starts.size + 1 >= chain.n_slabs:  # no fewer steps, whatever the kinds
+    """The first slab and the length of every run of consecutive identical
+    slabs (same surface density, Stark shift and gap), in chain order, or
+    None where stepping over them takes no fewer steps than the slab scan
+    takes slabs.  A run of length L costs its closed-form amplitudes, their
+    star power (L.bit_length() + L.bit_count() - 2 products) and one star
+    step, so the choice depends on the chain only."""
+    sd, st, gp = chain.surface_density, chain.stark_shift, chain.gap_after
+    new = (sd[1:] != sd[:-1]) | (st[1:] != st[:-1]) | (gp[1:] != gp[:-1])
+    if 2 * np.count_nonzero(new) + 2 >= chain.n_slabs:  # two steps a run at least
         return None
-    lengths = np.diff(np.append(starts, chain.n_slabs))
-    _, first, kind = np.unique(np.vstack((keys[:, starts], lengths)), axis=1,
-                               return_index=True, return_inverse=True)
-    length = lengths[first]
-    steps = starts.size + sum(int(n).bit_length() + int(n).bit_count() - 1
-                              for n in length)
-    return (starts[first], length, kind.ravel()) if steps < chain.n_slabs else None
+    starts = np.append(0, new.nonzero()[0] + 1)
+    lengths = np.diff(starts, append=chain.n_slabs)
+    steps = sum(int(n).bit_length() + int(n).bit_count() for n in lengths)
+    return (starts, lengths) if steps < chain.n_slabs else None
 
 
 def _run_scan(chain, delta, cfg, g, runs):
-    """(r, t, r', t') of every part of the chain over a grid, (4, parts) +
-    grid, for _fold, stepping over the runs of identical slabs of _runs:
-    each run is the star power of its slab's closed-form amplitudes.  A
-    sequence of RUN_SLABS runs or more is cut into RUNS parts of consecutive
-    runs that are star-multiplied side by side in _run_order, shorter ones
-    are one part, like the slab scan's runs of slabs.  The amplitudes of a
-    kind are computed where a run first needs them and kept while a later
-    run needs them too, of at most RUN_CACHE kinds at once (the others are
-    computed again), so no (kinds, grid) table grows with the chain."""
-    slab, length, kind = runs
-    n = kind.size
-    parts = RUNS if n >= RUN_SLABS else 1
-    seq = kind[_run_order(n, parts)]
-    # position of the next run of the same kind, in scan order; n if none
-    later = np.full(n, n)
-    by_kind = np.argsort(seq, kind="stable")
-    again = seq[by_kind[1:]] == seq[by_kind[:-1]]
-    later[by_kind[:-1][again]] = by_kind[1:][again]
-    kept = {}
-
-    def amplitudes(i):
-        k = seq[i]
-        a = kept.pop(k, None)
-        if a is None:
-            j = slab[k]
-            a = _star_power(_slabs(chain.surface_density[j], chain.stark_shift[j],
-                                   delta, cfg, g[j]), int(length[k]))
-        if later[i] < n and len(kept) < RUN_CACHE:
-            kept[k] = a
-        return a
-
-    def step(s):  # the runs of step s, one per part that reaches it
-        here = range(s, min(s + parts, n))
-        out = np.empty((4, len(here)) + delta.shape, dtype=complex)
-        for p, i in enumerate(here):
-            out[:, p] = amplitudes(i)
-        return out
-
-    acc = step(0)
-    for s in range(parts, n, parts):
-        b = step(s)
-        if len(b[0]) == parts:
-            acc = _star(acc, b)
-        else:  # the last step: only the first parts reach it
-            acc[:, :len(b[0])] = _star(acc[:, :len(b[0])], b)
-    return acc
+    """(r, t, r', t') of the chain over a grid, (4,) + grid, stepping over
+    the runs of identical slabs of _runs first to last: each run is the star
+    power of its slab's closed-form amplitudes."""
+    sd, st = chain.surface_density, chain.stark_shift
+    return reduce(_star, (_star_power(_slabs(sd[j], st[j], delta, cfg, g[j]), int(n))
+                          for j, n in zip(*runs)))
 
 
 def _fold(s):
@@ -444,25 +410,29 @@ def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
     """Transfer matrix of one period of the chain, layer then gap per slab.
 
     `delta_brg` may be a scalar or a grid; grid axes lead the 2x2 axes of the
-    result.  A grid is scanned slab by slab, elementwise, in runs whose
-    number depends on the slab count only (see _scan), or steps over the
-    chain's runs of identical slabs where that takes fewer steps (_runs,
-    _run_scan).  Which path, and how many parts, depends on the chain only,
-    so grid slices carry the bits of the whole grid.  A scalar detuning takes
-    the closed-form slab amplitudes.  Every set of parts is then star-folded
-    pairwise (_fold).
+    result.  The shortest prefix that the period repeats whole (_period) is
+    computed once and star-powered to the whole period: on a grid by the slab
+    scan, in runs whose number depends on the slab count only (_scan), or
+    over its runs of identical slabs where that takes fewer steps (_runs,
+    _run_scan); at a scalar detuning from the closed-form slab amplitudes.
+    Scanned runs and slab amplitudes are star-folded pairwise (_fold).  The
+    path depends on the chain only, so grid slices carry the bits of the
+    whole grid.
     """
     delta = require_finite("delta_brg", delta_brg)
     if chain.n_slabs == 0:
         return identity_matrix(delta.shape)
-    g = np.exp(1j * (geom.k_brg * chain.gap_after * math.cos(geom.beta_i)))
+    p = _period(chain)
+    cell = chain if p == chain.n_slabs else SlabChain(
+        chain.surface_density[:p], chain.stark_shift[:p], chain.gap_after[:p])
+    g = np.exp(1j * (geom.k_brg * cell.gap_after * math.cos(geom.beta_i)))
     if not delta.ndim:
-        parts = _slabs(chain.surface_density, chain.stark_shift, delta, cfg, g)
-    elif (runs := _runs(chain)) is None:
-        parts = _scan(chain, delta, cfg, g)
+        s = _fold(_slabs(cell.surface_density, cell.stark_shift, delta, cfg, g))
+    elif (runs := _runs(cell)) is None:
+        s = _fold(_scan(cell, delta, cfg, g))
     else:
-        parts = _run_scan(chain, delta, cfg, g, runs)
-    return _transfer(*_fold(parts))
+        s = _run_scan(cell, delta, cfg, g, runs)
+    return _transfer(*_star_power(s, chain.n_slabs // p))
 
 
 def chain_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,

@@ -244,13 +244,11 @@ def radial_average(n_peak: float, sigma_r: float, n_rings: int, build_chain,
         raise ValueError(f"sigma_r must be positive (inf for a uniform cloud), "
                          f"got {sigma_r!r}")
     grid = np.asarray(delta_over_gamma, dtype=float)
-    rho_max = 2.5 * sigma_r
     acc = None
     r_sum = 0.0
     for k in range(n_rings):
-        rho = rho_max * math.sqrt(k / n_rings)
         density = n_peak if not math.isfinite(sigma_r) else \
-            n_peak * math.exp(-rho**2 / (2.0 * sigma_r**2))
+            n_peak * math.exp(-3.125 * k / n_rings)  # rho = 2.5 sigma_r sqrt(k / n)
         table = spectrum(build_chain(density), grid, cfg, geom)
         cols = np.stack([table.R, table.T, table.A])
         acc = cols if acc is None else acc + cols

@@ -42,25 +42,25 @@ def axial_width(T: float, U0: float, lambda_dip: float) -> float:
     Harmonic-well result 2*sigma_z = (lambda_dip/pi) * sqrt(k_B T / (2 hbar U0)),
     with U0 the (positive) trap depth in rad/s.
     """
-    if U0 <= 0.0:
+    if not U0 > 0.0:
         raise ValueError("U0 must be positive")
-    if T < 0.0:
+    if not T >= 0.0:
         raise ValueError("T must be non-negative")
     return lambda_dip / (2.0 * math.pi) * math.sqrt(k_B * T / (2.0 * hbar * U0))
 
 
 def radial_width(T: float, U0: float, w_dip: float) -> float:
     """Radial rms half-width sigma_r: 2*sigma_r = w_dip * sqrt(k_B T / hbar U0)."""
-    if U0 <= 0.0:
+    if not U0 > 0.0:
         raise ValueError("U0 must be positive")
-    if T < 0.0:
+    if not T >= 0.0:
         raise ValueError("T must be non-negative")
     return 0.5 * w_dip * math.sqrt(k_B * T / (hbar * U0))
 
 
 def debye_waller(sigma_z: float, k_dip: float) -> float:
     """Coherent-scattering reduction factor exp(-2 k_dip^2 sigma_z^2), in (0, 1]."""
-    if sigma_z < 0.0:
+    if not sigma_z >= 0.0:
         raise ValueError("sigma_z must be non-negative")
     return math.exp(-2.0 * (k_dip * sigma_z) ** 2)
 
@@ -73,6 +73,8 @@ def effective_layers(sigma_r: float, lambda_dip: float, beta_i: float) -> float:
     """
     if not 0.0 <= beta_i < math.pi / 2.0:
         raise ValueError("beta_i must lie in [0, pi/2)")
+    if not sigma_r >= 0.0:
+        raise ValueError("sigma_r must be non-negative")
     t = math.tan(beta_i)
     if t == 0.0:
         return math.inf
@@ -87,7 +89,7 @@ def penetration_depth(n: float, f_dw: float, sigma_abs: float) -> float:
     """
     if not 0.0 <= f_dw <= 1.0:
         raise ValueError("f_dw must lie in [0, 1]")
-    if n < 0.0 or sigma_abs <= 0.0:
+    if not (n >= 0.0 and sigma_abs > 0.0):
         raise ValueError("need n >= 0 and sigma_abs > 0")
     loss = sigma_abs * n * (1.0 - f_dw)
     if loss == 0.0:

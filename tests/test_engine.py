@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
-from braggstack.engine import RUN_SLABS, RUNS, ZETA_BLOCK, _fold, _run_order, \
-    _runs, _scan, _star, _transfer, _zeta_blocks
+from braggstack.engine import RUN_SLABS, RUNS, ZETA_BLOCK, _fold, _period, \
+    _run_order, _runs, _scan, _star, _transfer, _zeta_blocks
 
 
 def _random_flat_chain(rng, n, gamma=bs.GAMMA_RB85_D2):
@@ -587,33 +587,38 @@ def _slab_scan_matrix(chain, delta, cfg, geom):
     return bs.matrix_power(cell, chain.periods) if chain.periods > 1 else cell
 
 
-# flat chains of 1-30 runs and of RUN_SLABS runs and more (RUNS parts side by
-# side), and periodic cells of 1-8 runs over 2-60 periods
+# periodic cells of 1-8 runs over 2-60 periods
+_periodic_runs = st.builds(_chain_of_runs, st.integers(0, 2**32 - 1),
+                           st.integers(1, 8), st.integers(1, 4),
+                           st.integers(1, 40), st.integers(2, 60))
+# flat chains of 1-30 runs and of RUN_SLABS runs and more, the periodic cells,
+# and the same cells written out flat, which repeat a prefix slab for slab
 _chains_of_runs = st.one_of(
     st.builds(_chain_of_runs, st.integers(0, 2**32 - 1),
               st.one_of(st.integers(1, 30),
                         st.integers(RUN_SLABS, RUN_SLABS + 2 * RUNS)),
               st.integers(1, 6), st.integers(1, 40)),
-    st.builds(_chain_of_runs, st.integers(0, 2**32 - 1), st.integers(1, 8),
-              st.integers(1, 4), st.integers(1, 40), st.integers(2, 60)))
+    _periodic_runs, _periodic_runs.map(bs.SlabChain.repeated))
 
 
 @settings(max_examples=40, deadline=None)
 @given(chain=_chains_of_runs,
        deltas=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=3))
 def test_run_path_matches_slab_scan_and_oracle(cfg, geom, chain, deltas):
-    # a chain stepped over its runs of identical slabs (where that takes
-    # fewer steps; otherwise it is the slab scan, bit for bit) agrees with
-    # the slab scan to rounding and with the oracle, and grid slices of one
-    # point carry the bits of the whole grid.  Near a band edge the rounding
-    # of a star power grows like the slab count N, as in the Bragg-phase
-    # law (5,000 identical slabs without gaps: r off the closed form by
-    # 5.8e-13 as a star power, by 3.2e-15 scanned slab by slab), so past
-    # 1,000 slabs the amplitudes agree within 1e-15 N
+    # a chain that repeats a shorter prefix is the star power of it, and a
+    # prefix made of runs of identical slabs steps over them where that
+    # takes fewer steps; otherwise the chain is the slab scan, bit for bit.
+    # Either way it agrees with the slab scan to rounding and with the
+    # oracle, and grid slices of one point carry the bits of the whole
+    # grid.  Near a band edge the rounding of a star power grows like the
+    # slab count N, as in the Bragg-phase law (5,000 identical slabs without
+    # gaps: r off the closed form by 5.8e-13 as a star power, by 3.2e-15
+    # scanned slab by slab), so past 1,000 slabs the amplitudes agree
+    # within 1e-15 N
     delta = np.array(deltas) * cfg.gamma
     got = bs.chain_matrix(chain, delta, cfg, geom)
     want = _slab_scan_matrix(chain, delta, cfg, geom)
-    if _runs(chain) is None:
+    if _period(chain) == chain.n_slabs and _runs(chain) is None:
         assert got.tobytes() == want.tobytes()
     res, ref = bs.scatter(got), bs.scatter(want)
     bound = max(1e-12, 1e-15 * chain.total_slabs)
@@ -629,32 +634,59 @@ def test_run_path_matches_slab_scan_and_oracle(cfg, geom, chain, deltas):
 
 
 def test_run_path_is_taken_by_the_chain_alone(cfg, geom):
-    # the default cell is 3 runs; 600 periods of it flat are 1,800 runs of 3
-    # kinds.  A Stark cell, the same flat (whose period joints are runs of
-    # two), a perfect lattice cell and random slabs keep the slab scan
+    # the default cell (3 runs: the ordered slab, 19 sublayers, a last
+    # sublayer with a half gap) repeats 21 slabs, also 600 periods of it
+    # written out flat, and steps over its runs; a Stark cell repeats 20
+    # slabs and keeps the slab scan; a perfect lattice repeats its one
+    # slab; random slabs repeat nothing shorter
     cell = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
-    slab, length, kind = _runs(cell)
-    assert sorted(length.tolist()) == [1, 1, 19] and kind.size == 3
-    slab, length, kind = _runs(cell.repeated())
-    assert sorted(length.tolist()) == [1, 1, 19] and kind.size == 1800
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
-    for chain in (stark, stark.repeated(), bs.perfect_lattice(3e17, 9, geom),
-                  _random_flat_chain(np.random.default_rng(3), 40)):
-        assert _runs(chain) is None
-    assert _runs(bs.perfect_lattice(3e17, 9, geom).repeated()) is not None
+    perfect = bs.perfect_lattice(3e17, 9, geom)
+    for chain, period in ((cell, 21), (stark, 20), (perfect, 1)):
+        assert _period(chain) == _period(chain.repeated()) == period
+    starts, lengths = _runs(cell)
+    assert starts.tolist() == [0, 1, 20] and lengths.tolist() == [1, 19, 1]
+    assert _runs(stark) is None
+    for n in (1, 2, 40, RUN_SLABS + 3):
+        chain = _random_flat_chain(np.random.default_rng(n), n)
+        assert _period(chain) == n and _runs(chain) is None
+    # a prefix counts only if it repeats whole, to the end of the chain
+    a, b = (1e11, 0.0, 1e-7), (2e11, 0.0, 1e-7)
+    for slabs, period in (([a, b, a], 3), ([a, b, a, b, a], 5), ([a, a, a, a], 1),
+                          ([a, a, b, a, a, b], 3), ([a, b, a, b, b, a], 6)):
+        assert _period(bs.SlabChain(*zip(*slabs))) == period
+
+
+def test_flat_default_chain_matches_periodic_chain_and_oracle(cfg, geom):
+    # 600 periods of the default cell written out flat (12,600 slabs) are
+    # the star power of the cell's run fold: within 1e-12 of the periodic
+    # chain over the default grid, and within 1e-10 of the oracle at the
+    # grid ends, the reflection peak, the transmission floor and 4 more
+    chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
+    flat = chain.repeated()
+    delta = bs.detuning_grid() * cfg.gamma
+    periodic = bs.sweep_scatter(chain, delta, cfg, geom)
+    res = bs.sweep_scatter(flat, delta, cfg, geom)
+    assert np.max(np.abs(res.r - periodic.r)) <= 1e-12
+    assert np.max(np.abs(res.t - periodic.t)) <= 1e-12
+    points = {0, delta.size - 1, int(np.argmax(res.big_r)), int(np.argmin(res.big_t)),
+              *range(150, delta.size, 250)}
+    assert len(points) == 8
+    for k in points:
+        r_o, t_o = bs.solve_boundary_value(flat, delta[k], cfg, geom)
+        assert max(abs(res.r[k] - r_o), abs(res.t[k] - t_o)) <= 1e-10
 
 
 def test_run_path_memory_does_not_grow_with_its_kinds(cfg, geom):
-    # 1,100 distinct runs of 12 slabs (RUNS parts side by side) over 8,192
-    # points: a (kinds, grid) table of their amplitudes would take 577 MB.
-    # The run path peaks within three times the slab scan's state of six
-    # (RUNS, grid) arrays
+    # 1,100 distinct runs of 12 slabs over 8,192 points: a (kinds, grid)
+    # table of their amplitudes would take 577 MB.  The run path peaks
+    # within three times the slab scan's state of six (RUNS, grid) arrays
     rng = np.random.default_rng(5)
     chain = bs.SlabChain(*(np.repeat(rng.uniform(0.0, top, 1100), 12)
                            for top in (3e11, 5.0 * cfg.gamma, 1.5e-6)))
-    slab, length, kind = _runs(chain)
-    assert slab.size == kind.size == 1100 and set(length) == {12}
+    starts, lengths = _runs(chain)
+    assert starts.size == 1100 and set(lengths) == {12}
     delta = np.linspace(-12.0, 12.0, 8192) * cfg.gamma
     tracemalloc.start()
     try:

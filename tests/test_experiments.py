@@ -572,6 +572,17 @@ def test_radial_average_refuses_a_width_that_is_not_positive(cfg, geom, sigma_r)
                           cfg, geom)
 
 
+def test_radial_average_of_a_width_whose_square_underflows(cfg, geom):
+    # the ring densities depend on k / n_rings only: sigma_r**2 = 0.0 at
+    # sigma_r = 1e-200 divides nothing
+    build = lambda n: bs.perfect_lattice(n, 20, geom)
+    grid = bs.detuning_grid(-3, 3, 7)
+    tiny, wide = (bs.radial_average(3e17, s, 3, build, grid, cfg, geom)
+                  for s in (1e-200, 1e-5))
+    for f in ("R", "T", "A", "phi"):
+        assert _same_bits(getattr(tiny, f), getattr(wide, f)), f
+
+
 def test_radial_average_rejects_a_non_integer_ring_count(cfg, geom):
     build = lambda n: bs.perfect_lattice(n, 20, geom)
     with pytest.raises(TypeError, match=r"^n_rings must be an integer: 2\.0$"):
@@ -586,10 +597,9 @@ def test_radial_average_phase_is_phase_of_mean_amplitude(cfg, geom):
     n_rings = 8
     avg = bs.radial_average(3e17, sigma_r, n_rings, build, grid, cfg, geom)
     rings = []
-    for k in range(n_rings):
-        rho = 2.5 * sigma_r * math.sqrt(k / n_rings)
+    for k in range(n_rings):  # rho = 2.5 sigma_r sqrt(k / n_rings)
         rings.append(bs.spectrum(
-            build(3e17 * math.exp(-rho**2 / (2.0 * sigma_r**2))), grid, cfg, geom))
+            build(3e17 * math.exp(-3.125 * k / n_rings)), grid, cfg, geom))
     big_r = sum(t.R for t in rings) / n_rings
     assert _same_bits(avg.R, big_r)
     r_mean = sum(np.sqrt(t.R) * np.exp(1j * t.phi) for t in rings) / n_rings

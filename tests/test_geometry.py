@@ -96,6 +96,28 @@ def test_penetration_layers_monotone_in_f_dw():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+_SIGMA0 = bs.resonant_cross_section(780e-9)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (bs.axial_width, (math.nan, 1e7, 810e-9), "T must be non-negative"),
+    (bs.axial_width, (1e-4, math.nan, 810e-9), "U0 must be positive"),
+    (bs.radial_width, (math.nan, 1e7, 1e-4), "T must be non-negative"),
+    (bs.radial_width, (1e-4, math.nan, 1e-4), "U0 must be positive"),
+    (bs.debye_waller, (math.nan, 7.8e6), "sigma_z must be non-negative"),
+    (bs.effective_layers, (math.nan, 810e-9, 0.27), "sigma_r must be non-negative"),
+    (bs.effective_layers, (math.nan, 810e-9, 0.0), "sigma_r must be non-negative"),
+    (bs.effective_layers, (-1e-6, 810e-9, 0.27), "sigma_r must be non-negative"),
+    (bs.penetration_depth, (math.nan, 0.2, _SIGMA0), r"need n >= 0 and sigma_abs > 0"),
+    (bs.penetration_depth, (3e17, 0.2, math.nan), r"need n >= 0 and sigma_abs > 0"),
+    (bs.penetration_depth, (3e17, math.nan, _SIGMA0), r"f_dw must lie in \[0, 1\]"),
+])
+def test_free_functions_refuse_nan_by_name(fn, args, message):
+    # a NaN passes `x < 0` and `x <= 0`; each check is written so that it fails
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fn(*args)
+
+
 def test_geometry_invariants_enforced():
     with pytest.raises(ValueError):
         bs.LatticeGeometry(780e-9, 810e-9, 0.2, 1e7, 1e-4, 1e-4)
