@@ -58,8 +58,10 @@ ZETA_BLOCK = 1 << 14
 # same scan, which keeps the bits of the written-out slab-by-slab scan.
 RUN_SLABS = 1024
 RUNS = 8
-# Field-profile samples per vectorized block: the default profile took the
-# same ~62 ms at 2^12..2^16 and ~100 ms at 2^18 and above (out of cache).
+# Field-profile samples per vectorized block: the default profile (12,600
+# gaps of 64 samples) took ~22 ms at 2^13..2^15, 25-27 ms at 2^12 and
+# 2^16..2^17, ~32 ms at 2^18 and above (out of cache) and ~39 ms at 2^10
+# (best of 21, 2-vCPU VM).
 PROFILE_BLOCK = 1 << 14
 
 
@@ -189,6 +191,14 @@ def require_finite(name: str, values) -> np.ndarray:
         where = f" at index {index[0] if a.ndim == 1 else index}" if a.ndim else ""
         raise ValueError(f"{name} must be finite: {a[index]}{where}")
     return a
+
+
+def require_scalar(name: str, value) -> float:
+    """value as a finite float; a TypeError names `name` if it is an array."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim:
+        raise TypeError(f"{name} must be a scalar, got an array of shape {a.shape}")
+    return float(require_finite(name, a))
 
 
 def require_int(name: str, value) -> int:
@@ -495,12 +505,15 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
     field is E+ = t_L / (1 - r'_L r_R) and E- = r_R E+.  Star scans of the
     slabs and of the mirrored slabs give every L and R, and every factor
     stays bounded however opaque the chain.  The samples inside the gaps are
-    then filled in vectorized blocks of slabs.
+    then filled in vectorized blocks of slabs.  A block takes its sample
+    offsets and phases exp(i k_z s) from a table with one row per distinct
+    gap width in it, so a chain of few widths costs few exponentials, and the
+    table is never larger than the block.
     """
     samples_per_gap = require_int("samples_per_gap", samples_per_gap)
     if samples_per_gap < 2:
         raise ValueError("samples_per_gap must be >= 2")
-    delta = require_finite("delta_brg", float(delta_brg))
+    delta = require_scalar("delta_brg", delta_brg)
     flat = chain.repeated()
     if flat.n_slabs == 0:
         return np.zeros(1), np.ones(1)
@@ -526,15 +539,17 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
     z = np.empty(1 + g.size * samples_per_gap)
     intensity = np.empty_like(z)
     z[0], intensity[0] = 0.0, first
+    z_rows = z[1:].reshape(g.size, samples_per_gap)
+    i_rows = intensity[1:].reshape(g.size, samples_per_gap)
     step = max(1, PROFILE_BLOCK // samples_per_gap)
     for b0 in range(0, g.size, step):
         b = slice(b0, b0 + step)
-        s = fractions * g[b, None]
-        phase = np.exp(1j * k_z * s)
+        widths, row = np.unique(g[b], return_inverse=True)
+        s = fractions * widths[:, None]
+        phase = np.exp(1j * k_z * s)[row]
         field = e_in[0, b, None] * phase + e_in[1, b, None] / phase
-        out = slice(1 + b0 * samples_per_gap, 1 + (b0 + len(s)) * samples_per_gap)
-        z[out] = (starts[b, None] + s).ravel()
-        intensity[out] = (np.abs(field) ** 2).ravel()
+        np.add(starts[b, None], s[row], out=z_rows[b])
+        np.square(np.abs(field), out=i_rows[b])
     return z, intensity
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .engine import EngineError, ScatterResult, SlabChain, chain_matrix, \
-    require_finite, require_int, scatter, unit_cell_matrix, bloch_phase, \
-    density_of_states
+    require_finite, require_int, require_scalar, scatter, unit_cell_matrix, \
+    bloch_phase, density_of_states
 from .geometry import LatticeGeometry
 from .models import two_component_lattice
 from .response import AtomResponseConfig, zeta
@@ -305,6 +305,7 @@ def solve_boundary_value(chain: SlabChain, delta_brg: float,
     """
     from scipy.linalg import solve_banded  # only the oracle needs scipy
 
+    delta = require_scalar("delta_brg", delta_brg)
     n = chain.total_slabs
     if n > ORACLE_MAX_SLABS:  # checked before the chain is tiled
         raise OracleError(f"boundary-value oracle limited to {ORACLE_MAX_SLABS} "
@@ -313,7 +314,7 @@ def solve_boundary_value(chain: SlabChain, delta_brg: float,
         return 0.0 + 0.0j, 1.0 + 0.0j
     flat = chain.repeated()
     zs = np.atleast_1d(zeta(flat.surface_density,
-                            float(delta_brg) - flat.stark_shift, cfg))
+                            delta - flat.stark_shift, cfg))
     k_z = geom.k_brg * math.cos(geom.beta_i)
     # phase advance across the gap *preceding* slab j (none before slab 0)
     phases = np.ones(n, dtype=complex)

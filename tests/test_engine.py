@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
+from braggstack import engine
 from braggstack.engine import RUN_SLABS, RUNS, ZETA_BLOCK, _fold, _period, \
-    _run_order, _runs, _scan, _star, _transfer, _zeta_blocks
+    _prefixes, _run_order, _runs, _scan, _slabs, _star, _transfer, _zeta_blocks
 
 
 def _random_flat_chain(rng, n, gamma=bs.GAMMA_RB85_D2):
@@ -898,6 +899,97 @@ def test_field_profile_equals_reference_loop_bitwise(cfg, geom):
             z_ref, i_ref = _reference_profile(chain, delta, spg, r, cfg, geom)
             assert z.tobytes() == z_ref.tobytes()
             assert np.max(np.abs(intensity / i_ref - 1.0)) <= 1e-11
+
+
+def _reference_block_profile(chain, delta, samples_per_gap, cfg, geom):
+    """field_profile with one complex exponential per sample in each block."""
+    flat = chain.repeated()
+    k_z = geom.k_brg * math.cos(geom.beta_i)
+    gaps = flat.gap_after
+    gapped = gaps > 0.0
+    exits = np.exp(1j * k_z * gaps)
+    slabs = _slabs(flat.surface_density, flat.stark_shift, delta, cfg, exits)
+    right = _prefixes(slabs[[2, 3, 0, 1], ::-1])[[2, 3, 0, 1], ::-1]
+    left = _prefixes(slabs)
+    r_right = np.append(right[0, 1:], 0.0)
+    e_plus = left[1] / (1.0 - left[2] * r_right)
+    g = gaps[gapped]
+    e_in = np.stack((e_plus / exits, r_right * e_plus * exits))[:, gapped]
+    starts = np.concatenate([[0.0], np.cumsum(g)[:-1]])
+    fractions = np.arange(1, samples_per_gap + 1) / samples_per_gap
+    z = np.empty(1 + g.size * samples_per_gap)
+    intensity = np.empty_like(z)
+    z[0], intensity[0] = 0.0, abs(1.0 + right[0, 0]) ** 2
+    step = max(1, engine.PROFILE_BLOCK // samples_per_gap)
+    for b0 in range(0, g.size, step):
+        b = slice(b0, b0 + step)
+        s = fractions * g[b, None]
+        phase = np.exp(1j * k_z * s)
+        field = e_in[0, b, None] * phase + e_in[1, b, None] / phase
+        out = slice(1 + b0 * samples_per_gap, 1 + (b0 + len(s)) * samples_per_gap)
+        z[out] = (starts[b, None] + s).ravel()
+        intensity[out] = (np.abs(field) ** 2).ravel()
+    return z, intensity
+
+
+def _profile_gaps(rng, n, widths, zeros):
+    """n gaps: `widths` distinct values (0: all jittered apart), zero where
+    `zeros` says (first, last, inside)."""
+    if widths:
+        gaps = rng.choice(rng.uniform(1e-8, 1.5e-6, widths), n)
+    else:
+        gaps = 3.9e-7 * (1.0 + 1e-3 * rng.random(n))
+    first, last, inside = zeros
+    gaps[0] = 0.0 if first else gaps[0]
+    gaps[-1] = 0.0 if last else gaps[-1]
+    if inside and n > 2:
+        gaps[1:-1][rng.random(n - 2) < 0.3] = 0.0
+    return gaps
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       widths=st.integers(0, 3), zeros=st.tuples(st.booleans(), st.booleans(),
+                                                   st.booleans()),
+       periods=st.integers(1, 3), spg=st.sampled_from([2, 3, 64]),
+       gaps_per_block=st.integers(0, 5), delta=st.floats(-12.0, 12.0))
+def test_field_profile_equals_block_loop_bitwise(cfg, geom, seed, n, widths, zeros,
+                                                 periods, spg, gaps_per_block,
+                                                 delta):
+    # the per-width phase table gathers the samples' phases of the loop with
+    # one exponential per sample, so z and the intensity keep every bit: in
+    # one-gap blocks, ragged last blocks, and (gaps_per_block = 0) blocks
+    # smaller than one gap's samples
+    rng = np.random.default_rng(seed)
+    chain = bs.SlabChain(rng.uniform(0.0, 3e11, n),
+                         rng.uniform(-5.0, 5.0, n) * cfg.gamma,
+                         _profile_gaps(rng, n, widths, zeros), periods=periods)
+    block = gaps_per_block * spg or spg - 1
+    with mock.patch.object(engine, "PROFILE_BLOCK", block):
+        z, intensity = bs.field_profile(chain, delta * cfg.gamma, spg, cfg, geom)
+        z_ref, i_ref = _reference_block_profile(chain, delta * cfg.gamma, spg,
+                                                cfg, geom)
+    assert z.tobytes() == z_ref.tobytes()
+    assert intensity.tobytes() == i_ref.tobytes()
+
+
+def test_field_profile_memory_is_bounded_by_its_blocks(cfg, geom):
+    # every one of the 4,000 gap widths is distinct, so a phase table of the
+    # whole chain would hold 4,000 x 64 offsets and phases (6 MB) on top of
+    # the outputs; the profile holds the outputs, the scans' state (~260 B
+    # per slab) and a few block-sized temporaries
+    n, spg = 4000, 64
+    gaps = _profile_gaps(np.random.default_rng(5), n, 0, (False, False, False))
+    assert np.unique(gaps).size == n
+    chain = bs.SlabChain(np.full(n, 3e11), np.zeros(n), gaps)
+    tracemalloc.start()
+    try:
+        z, intensity = bs.field_profile(chain, 0.3 * cfg.gamma, spg, cfg, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = z.nbytes + intensity.nbytes + 320 * n + 6 * 16 * engine.PROFILE_BLOCK
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("periods", [1, 3])

@@ -455,6 +455,37 @@ def test_oracle_names_the_slab_count_past_its_cap(cfg, geom, n, periods):
         bs.solve_boundary_value(chain, 0.0, cfg, geom)
 
 
+@pytest.mark.parametrize("delta_g", [math.nan, math.inf, -math.inf, 0.0, -1.3, 4.0])
+@pytest.mark.parametrize("n", [0, 3])
+def test_oracle_names_a_non_finite_detuning(cfg, geom, delta_g, n):
+    # a non-finite detuning is named before any slab is solved, also on an
+    # empty chain; a finite one agrees with the engine
+    chain = bs.SlabChain(np.full(n, 1e11), np.zeros(n), np.full(n, 4e-7))
+    delta = delta_g * cfg.gamma
+    if not math.isfinite(delta):
+        with pytest.raises(ValueError, match=f"^delta_brg must be finite: {delta}$"):
+            bs.solve_boundary_value(chain, delta, cfg, geom)
+        return
+    r_o, t_o = bs.solve_boundary_value(chain, delta, cfg, geom)
+    res = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
+    assert abs(res.r - r_o) < 1e-12 and abs(res.t - t_o) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [np.array([0.0, 1.0]), np.array([0.0]),
+                                   [0.0, math.nan], np.zeros((1, 1))])
+def test_scalar_detunings_refuse_arrays_by_name(cfg, geom, delta):
+    # field_profile and the oracle take one detuning: an array of any shape,
+    # one element included, is refused by name before its values are read
+    chain = bs.SlabChain([1e11], [0.0], [4e-7])
+    named = r"^delta_brg must be a scalar, got an array of shape \("
+    with pytest.raises(TypeError, match=named):
+        bs.solve_boundary_value(chain, delta, cfg, geom)
+    with pytest.raises(TypeError, match=named):
+        bs.field_profile(chain, delta, 4, cfg, geom)
+    z, _ = bs.field_profile(chain, np.float64(0.5) * cfg.gamma, 4, cfg, geom)
+    assert z.size == 5
+
+
 def test_detected_powers_reference(cfg, geom):
     res = bs.ScatterResult(r=0j, t=0j, big_r=0.3, big_t=0.5, big_a=0.2, phi=0.0)
     reading = bs.detected_powers(res, 0.16, 30e-6)
