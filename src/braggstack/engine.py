@@ -11,24 +11,22 @@ iz = i*zeta_j and g = g_j:
 
     w = 1/(1 - iz*U);  r += iz*t^2*w;  t = g*t*w;  U = 1 + g^2*(U*w - 1).
 
-A chain of RUN_SLABS slabs or more is cut into RUNS runs of consecutive
-slabs that are scanned side by side, one numpy call per step for all runs.
-One pairwise star fold combines the runs of a scan (a blocked scan:
-Blelloch, "Prefix sums and their applications", 1990) or, at a single
-detuning, the closed-form slab amplitudes, in log2 numpy calls.  One rule
-covers repetition: a chain is the star power of the shortest prefix that
-it repeats whole (_period; a periodic chain written out flat repeats its
+The scan walks the chain's runs of identical slabs first to last (_runs): a
+run long enough that repeated squaring takes fewer steps than it has slabs
+is stepped whole, as the star power of its slab's closed-form amplitudes
+and one star product (the background sublayers of the two-component
+model); every other slab takes the step above.  One rule covers
+repetition: a chain is the star power of the shortest prefix that it
+repeats whole (_period; a periodic chain written out flat repeats its
 cell), and chain_matrix takes the star power of the cell over periods.  A
-prefix made of runs of identical slabs (the background sublayers of the
-two-component model) steps over those runs first to last instead, where
-that takes fewer steps: each run is the star power of its slab's
-closed-form amplitudes (_runs, _run_scan).  Field profiles take inclusive
-star scans by doubling from both ends (Hillis-Steele; Blelloch).  The
-public functions take and return 2x2 transfer matrices on (E+, E-)
-amplitude pairs, shape (..., 2, 2) with grid axes leading: M22 = 1/t,
-M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A point layer is
-[[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the diagonal phase
-exp(+-i k_z dz), so det M = 1.
+single detuning star-folds the closed-form slab amplitudes pairwise in
+log2 numpy calls (_fold).  Field profiles take inclusive star scans by
+doubling from both ends (Hillis-Steele; Blelloch, "Prefix sums and their
+applications", 1990).  The public functions take and return 2x2 transfer
+matrices on (E+, E-) amplitude pairs, shape (..., 2, 2) with grid axes
+leading: M22 = 1/t, M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A point
+layer is [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the
+diagonal phase exp(+-i k_z dz), so det M = 1.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -47,17 +44,9 @@ from .response import AtomResponseConfig, line_response, resonant_cross_section,
 TransferMatrix = np.ndarray  # (..., 2, 2) complex
 
 # Grid elements of zeta per block of slabs in a grid scan: the (slab, grid)
-# array of a whole chain is never built.  At 2^14 a block is one step of 8
-# runs over 1101 points (141 kB); 1 MB blocks (2^16) made the 12,600-slab
-# scan 7-11% slower.
+# array of a whole chain is never built.  1 MB blocks (2^16) made a
+# 12,600-slab scan 7-11% slower than 2^14.
 ZETA_BLOCK = 1 << 14
-# A grid scan of RUN_SLABS slabs or more runs RUNS runs of slabs side by side,
-# which saves RUNS - 1 of every RUNS numpy calls: a 12,600-slab scan over
-# 1101 points took ~0.7x the time of one run at 8 runs (2-vCPU VM), and
-# 4, 6, 12 or 16 runs were no faster.  Shorter chains are one run of the
-# same scan, which keeps the bits of the written-out slab-by-slab scan.
-RUN_SLABS = 1024
-RUNS = 8
 # Field-profile samples per vectorized block: the default profile (12,600
 # gaps of 64 samples) took ~22 ms at 2^13..2^15, 25-27 ms at 2^12 and
 # 2^16..2^17, ~32 ms at 2^18 and above (out of cache) and ~39 ms at 2^10
@@ -267,6 +256,7 @@ def _star_power(s, n: int):
 def matrix_power(m: TransferMatrix, n: int) -> TransferMatrix:
     """m**n for transfer matrices with M22 != 0, as a star power of their
     amplitudes."""
+    n = require_int("n", n)
     if n < 0:
         raise ValueError("power must be non-negative")
     if n == 0:
@@ -274,28 +264,18 @@ def matrix_power(m: TransferMatrix, n: int) -> TransferMatrix:
     return _transfer(*_star_power(_amplitudes(m), n))
 
 
-def _run_order(n_slabs: int, runs: int) -> np.ndarray:
-    """Slab indices, step by step, of `runs` runs of consecutive slabs side by
-    side: step i holds slab i of every run still that long.  The first
-    n_slabs % runs runs take one slab more; no run is padded."""
-    step, run = np.divmod(np.arange(n_slabs), runs)
-    return run * (n_slabs // runs) + np.minimum(run, n_slabs % runs) + step
-
-
-def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
-                 order, runs: int):
-    """zeta of slab j at detuning delta - stark_shift_j, in the scan's
-    _run_order of `runs` runs, in (slabs,) + grid blocks of whole steps of
-    `runs` slabs and at most ZETA_BLOCK elements (one step at least).  The
-    line sum is evaluated once per distinct Stark shift and scaled by each
-    slab's -surface_density * sigma0 / 2: the bits of zeta over the broadcast."""
+def _zeta_blocks(density, shift, delta: np.ndarray, cfg: AtomResponseConfig):
+    """zeta of slabs of surface density `density` at detuning delta - shift,
+    in (slabs,) + grid blocks of at most ZETA_BLOCK elements (one slab at
+    least).  The line sum is evaluated once per distinct Stark shift and
+    scaled by each slab's -density * sigma0 / 2: the bits of zeta over the
+    broadcast."""
     col = (-1,) + (1,) * delta.ndim
-    shifts, row = np.unique(chain.stark_shift, return_inverse=True)
+    shifts, row = np.unique(shift, return_inverse=True)
     lines = line_response(delta - shifts.reshape(col), cfg)
     sigma0 = resonant_cross_section(cfg.lambda_brg)
-    scale = -chain.surface_density.reshape(col) * (0.5 * sigma0)
-    row, scale = row[order], scale[order]
-    width = runs * max(1, ZETA_BLOCK // max(1, runs * delta.size))
+    scale = -density.reshape(col) * (0.5 * sigma0)
+    width = max(1, ZETA_BLOCK // max(1, delta.size))
     for j0 in range(0, row.size, width):
         zs = lines[row[j0:j0 + width]]
         zs *= scale[j0:j0 + width]
@@ -303,32 +283,37 @@ def _zeta_blocks(chain: SlabChain, delta: np.ndarray, cfg: AtomResponseConfig,
 
 
 def _scan(chain, delta, cfg, g):
-    """(r, t, r', t') of every run of the chain over a grid, (runs,) + grid
-    each, for _fold.  Chains of RUN_SLABS slabs or more are cut into RUNS runs
-    of consecutive slabs, shorter chains are one; the runs are scanned side by
-    side in _run_order, slab by slab.  The number of runs depends on the slab
-    count only, so grid slices carry the bits of the whole grid.  No product
-    is written in place: numpy's in-place complex product takes another loop
-    on one-element arrays, whose bits differ in the last place.  The state is
-    six separate arrays: as one (6, runs, ...) block a wide-grid pass peaked
-    ~1.3 MB higher."""
-    runs = RUNS if chain.n_slabs >= RUN_SLABS else 1
-    shape = (runs,) + delta.shape
-    state = views = (*(np.zeros(shape, dtype=complex) for _ in range(4)),
-                     *(np.ones(shape, dtype=complex) for _ in range(2)))
-    order = _run_order(chain.n_slabs, runs)
-    g = g[order].reshape((-1,) + (1,) * delta.ndim)
+    """(r, t, r', t') of the chain over a grid, walking its runs of identical
+    slabs (_runs) first to last.  A run of L slabs with L.bit_length() +
+    L.bit_count() < L (L >= 6) is stepped whole: the star power of its
+    slab's closed-form amplitudes (_slabs), star-multiplied onto the state
+    with r' = U - 1.  Every other slab takes the U-form step, with zeta from
+    _zeta_blocks over those slabs only, so a chain with no run stepped whole
+    has the bits of the written-out slab-by-slab scan.  The steps depend on
+    the chain only, so grid slices carry the bits of the whole grid.  No
+    product is written in place: numpy's in-place complex product takes
+    another loop on one-element arrays, whose bits differ in the last place.
+    The state is six separate arrays: as one (6, ...) block a wide-grid pass
+    peaked ~1.3 MB higher."""
+    sd, st = chain.surface_density, chain.stark_shift
+    starts, lengths = _runs(chain)
+    whole = [n.bit_length() + n.bit_count() < n for n in lengths.tolist()]
+    single = np.repeat(~np.array(whole), lengths)
+    izs = (iz for zs in _zeta_blocks(sd[single], st[single], delta, cfg)
+           for iz in 1j * zs)
     g2 = g * g
-    phases = ((g[j:j + runs], g2[j:j + runs])
-              for j in range(0, chain.n_slabs, runs))
-    for zs in _zeta_blocks(chain, delta, cfg, order, runs):
-        izs = 1j * zs
-        for s in range(0, len(izs), runs):
-            iz = izs[s:s + runs]
-            gj, g2j = next(phases)
-            if len(iz) < runs:  # the last step: the runs that reach it
-                views = tuple(x[:len(iz)] for x in state)
-            r, w, a, b, t, u = views
+    r, w, a, b, t, u = (*(np.zeros(delta.shape, dtype=complex) for _ in range(4)),
+                        *(np.ones(delta.shape, dtype=complex) for _ in range(2)))
+    for j, n, stepped in zip(starts.tolist(), lengths.tolist(), whole):
+        if stepped:  # the scratch rows are not held through the star power
+            w = a = b = None
+            s = _star_power(_slabs(sd[j], st[j], delta, cfg, g[j]), n)
+            r, t, u, _ = _star((r, t, u - 1.0, t), s)
+            u += 1.0
+            w, a, b = (np.empty(delta.shape, dtype=complex) for _ in range(3))
+            continue
+        for k in range(j, j + n):
+            iz = next(izs)
             np.multiply(iz, u, out=w)  # w = 1 / (1 - iz U), U = 1 + r'
             np.subtract(1.0, w, out=w)
             np.divide(1.0, w, out=w)
@@ -336,12 +321,11 @@ def _scan(chain, delta, cfg, g):
             np.multiply(iz, t, out=b)  # r += iz t^2 w
             np.multiply(b, a, out=t)
             r += t
-            np.multiply(a, gj, out=t)  # t = g t w
+            np.multiply(a, g[k], out=t)  # t = g t w
             np.multiply(u, w, out=b)  # U = 1 + g^2 (U w - 1)
             b -= 1.0
-            np.multiply(b, g2j, out=u)
+            np.multiply(b, g2[k], out=u)
             u += 1.0
-    r, w, a, b, t, u = state
     return r, t, u - 1.0, t
 
 
@@ -369,34 +353,17 @@ def _period(chain):
 
 def _runs(chain):
     """The first slab and the length of every run of consecutive identical
-    slabs (same surface density, Stark shift and gap), in chain order, or
-    None where stepping over them takes no fewer steps than the slab scan
-    takes slabs.  A run of length L costs its closed-form amplitudes, their
-    star power (L.bit_length() + L.bit_count() - 2 products) and one star
-    step, so the choice depends on the chain only."""
+    slabs (same surface density, Stark shift and gap), in chain order."""
     sd, st, gp = chain.surface_density, chain.stark_shift, chain.gap_after
     new = (sd[1:] != sd[:-1]) | (st[1:] != st[:-1]) | (gp[1:] != gp[:-1])
-    if 2 * np.count_nonzero(new) + 2 >= chain.n_slabs:  # two steps a run at least
-        return None
     starts = np.append(0, new.nonzero()[0] + 1)
-    lengths = np.diff(starts, append=chain.n_slabs)
-    steps = sum(int(n).bit_length() + int(n).bit_count() for n in lengths)
-    return (starts, lengths) if steps < chain.n_slabs else None
-
-
-def _run_scan(chain, delta, cfg, g, runs):
-    """(r, t, r', t') of the chain over a grid, (4,) + grid, stepping over
-    the runs of identical slabs of _runs first to last: each run is the star
-    power of its slab's closed-form amplitudes."""
-    sd, st = chain.surface_density, chain.stark_shift
-    return reduce(_star, (_star_power(_slabs(sd[j], st[j], delta, cfg, g[j]), int(n))
-                          for j, n in zip(*runs)))
+    return starts, np.diff(starts, append=chain.n_slabs)
 
 
 def _fold(s):
-    """Star product of the parts of s = (r, t, r', t'), parts along the first
-    axis of each row, reduced pairwise, left factor first.  One part comes
-    back as views of its rows."""
+    """Star product of the slab amplitudes s = (r, t, r', t'), (4, slabs),
+    reduced pairwise, left factor first: a chain at a single detuning in
+    log2 numpy calls.  One slab comes back as views of its rows."""
     while (n := len(s[0])) > 1:
         even = n - n % 2
         pairs = _star([x[0:even:2] for x in s], [x[1:even:2] for x in s])
@@ -421,13 +388,11 @@ def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
 
     `delta_brg` may be a scalar or a grid; grid axes lead the 2x2 axes of the
     result.  The shortest prefix that the period repeats whole (_period) is
-    computed once and star-powered to the whole period: on a grid by the slab
-    scan, in runs whose number depends on the slab count only (_scan), or
-    over its runs of identical slabs where that takes fewer steps (_runs,
-    _run_scan); at a scalar detuning from the closed-form slab amplitudes.
-    Scanned runs and slab amplitudes are star-folded pairwise (_fold).  The
-    path depends on the chain only, so grid slices carry the bits of the
-    whole grid.
+    computed once and star-powered to the whole period: on a grid by the
+    scan over its runs of identical slabs (_scan), at a scalar detuning by
+    the pairwise fold of the closed-form slab amplitudes (_fold).  The path
+    depends on the chain only, so grid slices carry the bits of the whole
+    grid.
     """
     delta = require_finite("delta_brg", delta_brg)
     if chain.n_slabs == 0:
@@ -436,12 +401,10 @@ def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
     cell = chain if p == chain.n_slabs else SlabChain(
         chain.surface_density[:p], chain.stark_shift[:p], chain.gap_after[:p])
     g = np.exp(1j * (geom.k_brg * cell.gap_after * math.cos(geom.beta_i)))
-    if not delta.ndim:
-        s = _fold(_slabs(cell.surface_density, cell.stark_shift, delta, cfg, g))
-    elif (runs := _runs(cell)) is None:
-        s = _fold(_scan(cell, delta, cfg, g))
+    if delta.ndim:
+        s = _scan(cell, delta, cfg, g)
     else:
-        s = _run_scan(cell, delta, cfg, g, runs)
+        s = _fold(_slabs(cell.surface_density, cell.stark_shift, delta, cfg, g))
     return _transfer(*_star_power(s, chain.n_slabs // p))
 
 

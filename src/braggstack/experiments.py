@@ -191,7 +191,7 @@ def saturation_scan(atom_numbers, geom: LatticeGeometry, cfg: AtomResponseConfig
     Returns (atom_numbers, max_R) arrays; the two-component disorder model is
     used with the given layer count and Debye-Waller factor.
     """
-    numbers = np.asarray(atom_numbers, dtype=float)
+    numbers = require_finite("atom_numbers", atom_numbers)
     if np.any(numbers < 0.0):
         raise ValueError("atom numbers must be non-negative")
     grid = detuning_grid() if delta_over_gamma is None else np.asarray(delta_over_gamma)
@@ -217,7 +217,7 @@ def lattice_constant_scan(delta_lambda_values, build_chain, delta_over_gamma,
     lambda_dip is offset by each requested mismatch.
     """
     tables = []
-    for dl in np.asarray(delta_lambda_values, dtype=float):
+    for dl in require_finite("delta_lambda_values", delta_lambda_values):
         geom = base_geom.with_lattice_mismatch(float(dl))
         chain = build_chain(geom)
         tables.append(spectrum(chain, delta_over_gamma, cfg, geom,
@@ -417,6 +417,8 @@ def reflection_minima(delta_over_gamma, big_r, prominence: float = 1e-3,
     """
     grid = np.asarray(delta_over_gamma, dtype=float)
     x = -np.asarray(big_r, dtype=float)
+    if grid.ndim != 1 or grid.shape != x.shape:
+        raise ValueError("delta_over_gamma and big_r must be matching 1D arrays")
     idx = _local_maxima(x)
     idx = idx[_prominences(x, idx) >= prominence]
     if window is not None:

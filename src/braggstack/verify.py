@@ -73,9 +73,8 @@ def check_long_chain(geom, cfg, n_chains):
     """A random 10^4-slab chain at one detuning, computed three ways.
 
     The scalar detuning star-folds the closed-form slabs pairwise (a tree)
-    and the one-point grid the slab scan's runs of slabs, in the same
-    pairwise fold; both must match the boundary-value oracle, and the
-    mirrored chain must give the same T.
+    and the one-point grid takes the slab-by-slab scan; both must match the
+    boundary-value oracle, and the mirrored chain must give the same T.
     """
     rng = np.random.default_rng(DEFAULT_SEED + 1)
     chain = SlabChain(rng.uniform(0.0, 2e9, 10_000),

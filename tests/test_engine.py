@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import braggstack as bs
 from braggstack import engine
-from braggstack.engine import RUN_SLABS, RUNS, ZETA_BLOCK, _fold, _period, \
-    _prefixes, _run_order, _runs, _scan, _slabs, _star, _transfer, _zeta_blocks
+from braggstack.engine import ZETA_BLOCK, _period, _prefixes, _runs, _slabs, \
+    _star, _zeta_blocks
 
 
 def _random_flat_chain(rng, n, gamma=bs.GAMMA_RB85_D2):
@@ -31,13 +31,13 @@ def _periodic_chain(slabs, periods, gamma=bs.GAMMA_RB85_D2):
     return bs.SlabChain(sd, shift * gamma, gap, periods=periods)
 
 
-# flat chains from thin to past RUN_SLABS (one run, then RUNS runs), and
-# periodic cells of 1-4 slabs over 1-400 periods, thin to opaque
+# flat chains from thin to a thousand slabs, and periodic cells of 1-4
+# slabs over 1-400 periods, thin to opaque
 _chains = st.one_of(
     st.builds(lambda seed, n: _random_flat_chain(np.random.default_rng(seed), n),
               st.integers(0, 2**32 - 1),
               st.one_of(st.integers(1, 20),
-                        st.integers(RUN_SLABS - 2, RUN_SLABS + 2 * RUNS))),
+                        st.integers(1022, 1040))),
     st.builds(_periodic_chain, st.lists(_slab_values, min_size=1, max_size=4),
               st.integers(1, 400)))
 # a scalar detuning or a 1-4-point grid, in linewidths
@@ -382,7 +382,7 @@ def test_engine_rejects_non_finite_detunings(cfg, geom):
 
 
 def _slab_zetas(chain, delta, cfg):
-    blocks = list(_zeta_blocks(chain, delta, cfg, _run_order(chain.n_slabs, 1), 1))
+    blocks = list(_zeta_blocks(chain.surface_density, chain.stark_shift, delta, cfg))
     assert all(b.size <= max(ZETA_BLOCK, delta.size) for b in blocks)
     return np.concatenate(blocks)
 
@@ -406,30 +406,6 @@ def test_slab_zetas_equal_broadcast_zeta_bitwise(cfg, geom):
         per_slab = np.stack([bs.zeta(sd, grid - st, cfg) for sd, st in
                              zip(chain.surface_density, chain.stark_shift)])
         assert _slab_zetas(chain, grid, cfg).tobytes() == per_slab.tobytes()
-
-
-@pytest.mark.parametrize("n", [RUN_SLABS, RUN_SLABS + 1, RUN_SLABS + RUNS - 1])
-def test_run_order_zetas_equal_broadcast_zeta_bitwise(cfg, geom, n):
-    # the run scan's slab order: step by step, slab i of every run still that
-    # long, runs of consecutive slabs, the first ones one slab longer; its
-    # zeta blocks hold whole steps and carry the bits of the broadcast
-    order = _run_order(n, RUNS)
-    assert np.array_equal(np.sort(order), np.arange(n))
-    runs = np.array_split(np.arange(n), RUNS)
-    steps = [[run[i] for run in runs if i < run.size]
-             for i in range(runs[0].size)]
-    assert order.tolist() == [j for step in steps for j in step]
-    rng = np.random.default_rng(n)
-    chain = bs.SlabChain(rng.uniform(0.0, 3e11, n),
-                         rng.choice([-2.0, 0.0, 3.0], n) * cfg.gamma,
-                         rng.uniform(0.0, 1.5e-6, n))
-    for delta in (bs.detuning_grid() * cfg.gamma, np.array([0.7 * cfg.gamma])):
-        blocks = list(_zeta_blocks(chain, delta, cfg, order, RUNS))
-        assert all(len(b) % RUNS == 0 for b in blocks[:-1])
-        assert all(b.size <= max(ZETA_BLOCK, RUNS * delta.size) for b in blocks)
-        want = bs.zeta(chain.surface_density[:, None],
-                       delta - chain.stark_shift[:, None], cfg)[order]
-        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def _star_scan(chain, delta, cfg, geom):
@@ -468,45 +444,64 @@ def _sequential_fold(chain, delta, cfg, geom):
     return m
 
 
-def _run_fold(chain, delta, cfg, geom):
-    """The written-out run fold: closed-form amplitudes of the first slab of
-    every run of identical slabs, its star power by repeated squaring, and
-    the runs star-multiplied first run first."""
+def _run_scan(chain, delta, cfg, geom):
+    """The written-out run-by-run scan: a run of 6 slabs or more (where
+    repeated squaring takes fewer star products than it has slabs) is the
+    star power of its first slab's closed-form amplitudes by repeated
+    squaring, star-multiplied onto the state (r, t, U - 1, t); every other
+    slab takes the U-form step of _star_scan."""
+    g = np.exp(1j * (geom.k_brg * chain.gap_after * math.cos(geom.beta_i)))
     keys = list(zip(chain.surface_density, chain.stark_shift, chain.gap_after))
-    runs = [[keys[0], 0]]
-    for key in keys:
-        if key == runs[-1][0]:
-            runs[-1][1] += 1
-        else:
-            runs.append([key, 1])
-    total = None
-    for (sd, shift, gap), n in runs:
-        g = np.exp(1j * (geom.k_brg * gap * math.cos(geom.beta_i)))
+    r = np.zeros(delta.shape, dtype=complex)
+    t, u = np.ones(delta.shape, dtype=complex), np.ones(delta.shape, dtype=complex)
+    j = 0
+    while j < len(keys):
+        n = 1
+        while j + n < len(keys) and keys[j + n] == keys[j]:
+            n += 1
+        sd, shift, _ = keys[j]
         iz = 1j * bs.zeta(sd, delta - shift, cfg)
-        q = 1.0 / (1.0 - iz)
-        base, power = np.stack((iz * q, g * q, iz * (g * g) * q, g * q)), None
-        while n:
-            if n & 1:
-                power = base if power is None else _stacked_star(power, base)
-            n >>= 1
-            if n:
-                base = _stacked_star(base, base)
-        total = power if total is None else _stacked_star(total, power)
-    return _to_transfer(*total)
+        if n >= 6:
+            q = 1.0 / (1.0 - iz)
+            base = np.stack((iz * q, g[j] * q, iz * (g[j] * g[j]) * q, g[j] * q))
+            power, m = None, n
+            while m:
+                if m & 1:
+                    power = base if power is None else _stacked_star(power, base)
+                m >>= 1
+                if m:
+                    base = _stacked_star(base, base)
+            r, t, rp, _ = _stacked_star((r, t, u - 1.0, t), power)
+            u = 1.0 + rp
+        else:
+            for k in range(j, j + n):
+                w = 1.0 / (1.0 - iz * u)
+                a = t * w
+                r = r + (iz * t) * a
+                t = a * g[k]
+                u = (u * w - 1.0) * (g * g)[k] + 1.0
+        j += n
+    return _to_transfer(r, t, u - 1.0, t)
 
 
 def test_unit_cell_matrix_on_grids_is_sequential_fold_bitwise(cfg, geom):
     # any grid, one point included: a chain without runs of identical slabs
     # (a Stark chain) is scanned slab by slab, gap after slab, with the bits
-    # of the written-out scan; the two-component cell (3 runs: the ordered
-    # slab, 19 sublayers, a last sublayer with a half gap) steps over its
-    # runs with the bits of the written-out run fold; both are the
-    # transfer-matrix product to rounding
+    # of the written-out scan; the two-component cell (the ordered slab by
+    # the U-form step, 19 sublayers as a star power, then the last sublayer
+    # with a half gap) has the bits of the written-out run-by-run scan, and
+    # so do runs of 5 (slab by slab) and of 6 and 7 slabs (stepped whole);
+    # all are the transfer-matrix product to rounding
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
     two = bs.two_component_lattice(3e17, 0.2, 4, 20, geom)
+    assert _runs(two)[1].tolist() == [1, 19, 1]
+    kinds = _random_flat_chain(np.random.default_rng(3), 4, cfg.gamma)
+    runs = bs.SlabChain(*(np.repeat(a, [5, 6, 1, 7]) for a in (
+        kinds.surface_density, kinds.stark_shift, kinds.gap_after)))
     for delta in (bs.detuning_grid() * cfg.gamma, np.array([0.7 * cfg.gamma])):
-        for chain, written in ((stark, _star_scan), (two, _run_fold)):
+        for chain, written in ((stark, _star_scan), (two, _run_scan),
+                               (runs, _run_scan)):
             m = _sequential_fold(chain, delta, cfg, geom)
             got = bs.unit_cell_matrix(chain, delta, cfg, geom)
             assert got.tobytes() == written(chain, delta, cfg, geom).tobytes()
@@ -514,25 +509,20 @@ def test_unit_cell_matrix_on_grids_is_sequential_fold_bitwise(cfg, geom):
 
 
 def _check_run_scan(chain, delta, cfg, geom, oracle_points):
-    """unit_cell_matrix on a grid against the written-out scan (bitwise below
-    RUN_SLABS, where the scan is one run; to rounding from there on, where
-    run amplitudes are star-folded) and at `oracle_points` against the
-    boundary-value oracle."""
+    """unit_cell_matrix on a grid of a chain of distinct slabs against the
+    written-out scan, bit for bit at every length, and at `oracle_points`
+    against the boundary-value oracle."""
     got = bs.unit_cell_matrix(chain, delta, cfg, geom)
-    want = _star_scan(chain, delta, cfg, geom)
-    if chain.n_slabs < RUN_SLABS:
-        assert got.tobytes() == want.tobytes()
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert got.tobytes() == _star_scan(chain, delta, cfg, geom).tobytes()
     res = bs.scatter(got)
     for i in oracle_points:
         r_o, t_o = bs.solve_boundary_value(chain, delta[i], cfg, geom)
         assert abs(res.r[i] - r_o) < 1e-10 and abs(res.t[i] - t_o) < 1e-10
 
 
-@pytest.mark.parametrize("n", [RUN_SLABS - 1, RUN_SLABS, RUN_SLABS + 1,
-                               RUN_SLABS + RUNS - 1])
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 1031])
 def test_run_scan_matches_written_out_scan_and_oracle(cfg, geom, n):
-    # one run below the threshold, RUNS runs (even or uneven) from it on
+    # long random chains keep the written-out scan's bits at every length
     rng = np.random.default_rng(n)
     chain = _random_flat_chain(rng, n, cfg.gamma)
     _check_run_scan(chain, bs.detuning_grid() * cfg.gamma, cfg, geom,
@@ -542,28 +532,12 @@ def test_run_scan_matches_written_out_scan_and_oracle(cfg, geom, n):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       n=st.integers(RUN_SLABS - 3, RUN_SLABS + 2 * RUNS),
+       n=st.integers(1021, 1040),
        deltas=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=3))
 def test_run_scan_over_random_passive_chains(cfg, geom, seed, n, deltas):
     chain = _random_flat_chain(np.random.default_rng(seed), n, cfg.gamma)
     delta = np.array(deltas) * cfg.gamma
     _check_run_scan(chain, delta, cfg, geom, range(delta.size))
-
-
-def test_run_count_never_depends_on_the_grid(cfg, geom):
-    # a chain scanned in runs, swept in grid slices, has the bits of the
-    # whole-grid chain matrix: flat, and periodic with a long cell
-    rng = np.random.default_rng(7)
-    cell = _random_flat_chain(rng, RUN_SLABS + 3, cfg.gamma)
-    periodic = bs.SlabChain(cell.surface_density, cell.stark_shift,
-                            cell.gap_after, periods=3)
-    delta = bs.detuning_grid(-8, 8, 23) * cfg.gamma
-    for chain in (cell, periodic):
-        whole = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
-        with mock.patch.object(bs.experiments, "GRID_CHUNK", 5):
-            swept = bs.sweep_scatter(chain, delta, cfg, geom)
-        for f in ("r", "t", "big_r", "big_t", "big_a", "phi"):
-            assert getattr(swept, f).tobytes() == getattr(whole, f).tobytes()
 
 
 def _chain_of_runs(seed, n_runs, n_kinds, max_length, periods=1,
@@ -581,25 +555,60 @@ def _chain_of_runs(seed, n_runs, n_kinds, max_length, periods=1,
     return bs.SlabChain(*slabs, periods=periods)
 
 
+def _mixed_chain(seed, n_runs, gamma=bs.GAMMA_RB85_D2):
+    """n_runs runs of distinct random slabs, about a fifth of them 6-40 slabs
+    long (stepped whole) and the others one slab."""
+    rng = np.random.default_rng(seed)
+    slabs = np.stack((rng.uniform(0.0, 3e11, n_runs),
+                      rng.uniform(-5.0, 5.0, n_runs) * gamma,
+                      rng.uniform(0.0, 1.5e-6, n_runs)))
+    lengths = np.where(rng.random(n_runs) < 0.2, rng.integers(6, 41, n_runs), 1)
+    return bs.SlabChain(*np.repeat(slabs, lengths, axis=1))
+
+
 def _slab_scan_matrix(chain, delta, cfg, geom):
-    """chain_matrix with the cell scanned slab by slab."""
-    g = np.exp(1j * (geom.k_brg * chain.gap_after * math.cos(geom.beta_i)))
-    cell = _transfer(*_fold(_scan(chain, delta, cfg, g)))
+    """chain_matrix with the cell written out slab by slab (_star_scan)."""
+    cell = _star_scan(chain, delta, cfg, geom)
     return bs.matrix_power(cell, chain.periods) if chain.periods > 1 else cell
+
+
+def test_step_choice_never_depends_on_the_grid(cfg, geom):
+    # which runs are stepped whole depends on the chain only, so a sweep in
+    # grid slices of 1 or 5 points has the bits of the whole-grid chain
+    # matrix: the default cell (19 sublayers stepped whole), a T = 0
+    # sequential cell (runs of 10 and 9 empty sublayers), long runs among
+    # distinct slabs, and a long random cell, flat and periodic
+    cold = bs.sequential_lattice(bs.ThermalModelConfig(
+        n=3e17, n_s=50, n_ss=20, T=0.0, U0=geom.U0, stark_enabled=True), geom)
+    assert _runs(cold)[1].tolist() == [10, 1, 9]
+    cell = _random_flat_chain(np.random.default_rng(7), 1027, cfg.gamma)
+    chains = (bs.two_component_lattice(3e17, 0.2, 400, 20, geom), cold,
+              _mixed_chain(11, 60, cfg.gamma), cell,
+              bs.SlabChain(cell.surface_density, cell.stark_shift,
+                           cell.gap_after, periods=3))
+    delta = bs.detuning_grid(-8, 8, 23) * cfg.gamma
+    for chain in chains:
+        whole = bs.scatter(bs.chain_matrix(chain, delta, cfg, geom))
+        for chunk in (1, 5):
+            with mock.patch.object(bs.experiments, "GRID_CHUNK", chunk):
+                swept = bs.sweep_scatter(chain, delta, cfg, geom)
+            for f in ("r", "t", "big_r", "big_t", "big_a", "phi"):
+                assert getattr(swept, f).tobytes() == getattr(whole, f).tobytes()
 
 
 # periodic cells of 1-8 runs over 2-60 periods
 _periodic_runs = st.builds(_chain_of_runs, st.integers(0, 2**32 - 1),
                            st.integers(1, 8), st.integers(1, 4),
                            st.integers(1, 40), st.integers(2, 60))
-# flat chains of 1-30 runs and of RUN_SLABS runs and more, the periodic cells,
-# and the same cells written out flat, which repeat a prefix slab for slab
+# flat chains of 1-30 runs and of a thousand runs and more, the periodic
+# cells, the same cells written out flat, which repeat a prefix slab for
+# slab, and long runs among distinct slabs
 _chains_of_runs = st.one_of(
     st.builds(_chain_of_runs, st.integers(0, 2**32 - 1),
-              st.one_of(st.integers(1, 30),
-                        st.integers(RUN_SLABS, RUN_SLABS + 2 * RUNS)),
+              st.one_of(st.integers(1, 30), st.integers(1024, 1040)),
               st.integers(1, 6), st.integers(1, 40)),
-    _periodic_runs, _periodic_runs.map(bs.SlabChain.repeated))
+    _periodic_runs, _periodic_runs.map(bs.SlabChain.repeated),
+    st.builds(_mixed_chain, st.integers(0, 2**32 - 1), st.integers(1, 200)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -607,8 +616,8 @@ _chains_of_runs = st.one_of(
        deltas=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=3))
 def test_run_path_matches_slab_scan_and_oracle(cfg, geom, chain, deltas):
     # a chain that repeats a shorter prefix is the star power of it, and a
-    # prefix made of runs of identical slabs steps over them where that
-    # takes fewer steps; otherwise the chain is the slab scan, bit for bit.
+    # run of 6 identical slabs or more is stepped whole; otherwise the chain
+    # is the slab scan, bit for bit.
     # Either way it agrees with the slab scan to rounding and with the
     # oracle, and grid slices of one point carry the bits of the whole
     # grid.  Near a band edge the rounding of a star power grows like the
@@ -619,7 +628,7 @@ def test_run_path_matches_slab_scan_and_oracle(cfg, geom, chain, deltas):
     delta = np.array(deltas) * cfg.gamma
     got = bs.chain_matrix(chain, delta, cfg, geom)
     want = _slab_scan_matrix(chain, delta, cfg, geom)
-    if _period(chain) == chain.n_slabs and _runs(chain) is None:
+    if _period(chain) == chain.n_slabs and _runs(chain)[1].max() < 6:
         assert got.tobytes() == want.tobytes()
     res, ref = bs.scatter(got), bs.scatter(want)
     bound = max(1e-12, 1e-15 * chain.total_slabs)
@@ -637,9 +646,9 @@ def test_run_path_matches_slab_scan_and_oracle(cfg, geom, chain, deltas):
 def test_run_path_is_taken_by_the_chain_alone(cfg, geom):
     # the default cell (3 runs: the ordered slab, 19 sublayers, a last
     # sublayer with a half gap) repeats 21 slabs, also 600 periods of it
-    # written out flat, and steps over its runs; a Stark cell repeats 20
-    # slabs and keeps the slab scan; a perfect lattice repeats its one
-    # slab; random slabs repeat nothing shorter
+    # written out flat; a Stark cell repeats 20 slabs, in runs of one or
+    # two; a perfect lattice repeats its one slab; random slabs repeat
+    # nothing shorter
     cell = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
     stark = bs.sequential_lattice(bs.ThermalModelConfig(
         n=3e17, n_s=4, n_ss=20, T=geom.T, U0=geom.U0, stark_enabled=True), geom)
@@ -648,10 +657,10 @@ def test_run_path_is_taken_by_the_chain_alone(cfg, geom):
         assert _period(chain) == _period(chain.repeated()) == period
     starts, lengths = _runs(cell)
     assert starts.tolist() == [0, 1, 20] and lengths.tolist() == [1, 19, 1]
-    assert _runs(stark) is None
-    for n in (1, 2, 40, RUN_SLABS + 3):
+    assert _runs(stark)[1].tolist() == [1] * 9 + [2] + [1] * 9  # around the node
+    for n in (1, 2, 40, 1027):
         chain = _random_flat_chain(np.random.default_rng(n), n)
-        assert _period(chain) == n and _runs(chain) is None
+        assert _period(chain) == n and _runs(chain)[1].tolist() == [1] * n
     # a prefix counts only if it repeats whole, to the end of the chain
     a, b = (1e11, 0.0, 1e-7), (2e11, 0.0, 1e-7)
     for slabs, period in (([a, b, a], 3), ([a, b, a, b, a], 5), ([a, a, a, a], 1),
@@ -661,7 +670,7 @@ def test_run_path_is_taken_by_the_chain_alone(cfg, geom):
 
 def test_flat_default_chain_matches_periodic_chain_and_oracle(cfg, geom):
     # 600 periods of the default cell written out flat (12,600 slabs) are
-    # the star power of the cell's run fold: within 1e-12 of the periodic
+    # the star power of the cell's run scan: within 1e-12 of the periodic
     # chain over the default grid, and within 1e-10 of the oracle at the
     # grid ends, the reflection peak, the transmission floor and 4 more
     chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
@@ -680,14 +689,19 @@ def test_flat_default_chain_matches_periodic_chain_and_oracle(cfg, geom):
 
 
 def test_run_path_memory_does_not_grow_with_its_kinds(cfg, geom):
-    # 1,100 distinct runs of 12 slabs over 8,192 points: a (kinds, grid)
-    # table of their amplitudes would take 577 MB.  The run path peaks
-    # within three times the slab scan's state of six (RUNS, grid) arrays
+    # 1,100 distinct runs of 12 slabs over 8,192 points, each stepped whole
+    # and each after a single slab without Stark shift: a (kinds, grid)
+    # table of the runs' amplitudes would take 577 MB, and a line table over
+    # the runs' slabs as well as the single ones peaked at 482 MB.  The scan
+    # peaks within 144 complex rows of the grid (18.9 MB)
     rng = np.random.default_rng(5)
-    chain = bs.SlabChain(*(np.repeat(rng.uniform(0.0, top, 1100), 12)
-                           for top in (3e11, 5.0 * cfg.gamma, 1.5e-6)))
+    kinds = np.stack([rng.uniform(0.0, top, (1100, 2))
+                      for top in (3e11, 5.0 * cfg.gamma, 1.5e-6)])
+    kinds[1, :, 0] = 0.0
+    chain = bs.SlabChain(*(np.repeat(k.ravel(), np.tile([1, 12], 1100))
+                           for k in kinds))
     starts, lengths = _runs(chain)
-    assert starts.size == 1100 and set(lengths) == {12}
+    assert starts.size == 2200 and lengths.tolist() == [1, 12] * 1100
     delta = np.linspace(-12.0, 12.0, 8192) * cfg.gamma
     tracemalloc.start()
     try:
@@ -695,7 +709,7 @@ def test_run_path_memory_does_not_grow_with_its_kinds(cfg, geom):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 6 * RUNS * delta.nbytes * 2, peak
+    assert peak <= 144 * 2 * delta.nbytes, peak
 
 
 def _disordered_flat_chain(rng, geom):
@@ -706,7 +720,7 @@ def _disordered_flat_chain(rng, geom):
 
 def test_pairwise_flat_chains_match_oracle_and_sequential(cfg, geom):
     # one detuning over 9,900 disordered slabs takes the pairwise star tree;
-    # the same detuning as a one-point grid takes the slab scan in runs
+    # the same detuning as a one-point grid takes the slab scan
     rng = np.random.default_rng(2024)
     for delta in rng.uniform(-3, 3, 3) * cfg.gamma:
         chain = _disordered_flat_chain(rng, geom)

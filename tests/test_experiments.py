@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 import threading
 
@@ -704,6 +705,24 @@ def test_reflection_minima_tool():
                                         math.pi / 2, 3 * math.pi / 2], atol=0.05)
     idx = bs.reflection_minima(x, y, prominence=1e-3, window=(0, 2))
     assert len(idx) == 1 and abs(x[idx[0]] - math.pi / 2) < 0.05
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda cfg, geom: bs.matrix_power(bs.identity_matrix(), 2.0),
+     TypeError, "n must be an integer: 2.0"),
+    (lambda cfg, geom: bs.saturation_scan([np.nan], geom, cfg),
+     ValueError, "atom_numbers must be finite: nan at index 0"),
+    (lambda cfg, geom: bs.lattice_constant_scan(
+        [np.nan], lambda g: bs.perfect_lattice(3e17, 3, g), bs.detuning_grid(),
+        cfg, geom),
+     ValueError, "delta_lambda_values must be finite: nan at index 0"),
+    (lambda cfg, geom: bs.reflection_minima(np.arange(3.0), [0.1, 0.2]),
+     ValueError, "delta_over_gamma and big_r must be matching 1D arrays"),
+], ids=["matrix_power-float", "saturation_scan-nan", "lattice_constant_scan-nan",
+        "reflection_minima-lengths"])
+def test_bad_inputs_are_refused_by_name(cfg, geom, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(cfg, geom)
 
 
 def test_radial_average_of_no_atoms_has_zero_phase(cfg, geom):
