@@ -21,11 +21,12 @@ repeats whole (_period; a periodic chain written out flat repeats its
 cell), and chain_matrix takes the star power of the cell over periods.  A
 single detuning star-folds the closed-form slab amplitudes pairwise in
 log2 numpy calls (_fold).  Field profiles take inclusive star scans by
-doubling from both ends (Hillis-Steele; Blelloch, "Prefix sums and their
-applications", 1990).  The public functions take and return 2x2 transfer
-matrices on (E+, E-) amplitude pairs, shape (..., 2, 2) with grid axes
-leading: M22 = 1/t, M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A point
-layer is [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the
+doubling from both ends (Hillis & Steele, CACM 29, 1170 (1986)), at linear
+work on a periodic chain: a round computes one period of columns and
+copies the rest (_prefixes).  The public functions take and return 2x2
+transfer matrices on (E+, E-) amplitude pairs, shape (..., 2, 2) with grid
+axes leading: M22 = 1/t, M12 = r/t, M21 = -r'/t, M11 = t' - r*r'/t.  A
+point layer is [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]] and a gap the
 diagonal phase exp(+-i k_z dz), so det M = 1.
 """
 
@@ -293,6 +294,9 @@ def _scan(chain, delta, cfg, g):
     the chain only, so grid slices carry the bits of the whole grid.  No
     product is written in place: numpy's in-place complex product takes
     another loop on one-element arrays, whose bits differ in the last place.
+    Nor is an unnamed temporary a product's right factor: from 2^14 complex
+    values (256 KiB) on, numpy reuses the temporary and computes a * (b * c)
+    as (b * c) * a, and with FMA complex products do not commute bit for bit.
     The state is six separate arrays: as one (6, ...) block a wide-grid pass
     peaked ~1.3 MB higher."""
     sd, st = chain.surface_density, chain.stark_shift
@@ -335,7 +339,8 @@ def _slabs(density, shift, delta, cfg, g):
     for every slab at one detuning, (4,) + grid for one slab over a grid."""
     iz = 1j * zeta(density, delta - shift, cfg)
     q = 1.0 / (1.0 - iz)
-    return np.stack((iz * q, g * q, iz * (g * g) * q, g * q))
+    g2 = g * g  # named, not a temporary: see _scan
+    return np.stack((iz * q, g * q, iz * g2 * q, g * q))
 
 
 def _period(chain):
@@ -372,14 +377,38 @@ def _fold(s):
     return [x[0] for x in s]
 
 
-def _prefixes(s):
-    """In-place inclusive star scan of (4, slabs) amplitudes by doubling:
-    column j becomes the star product of columns 0..j, in log2(slabs) calls."""
-    k = 1
-    while k < s.shape[1]:
-        s[:, k:] = _star(s[:, :-k], s[:, k:])
-        k *= 2
+def _prefixes(s, p):
+    """In-place inclusive star scan of (4, n) amplitudes that repeat every p
+    columns (p divides n; p = n holds for any input) by doubling: column j
+    becomes the star product of columns 0..j, in log2(n) rounds.
+
+    After the round of stride k, column j is the product of columns
+    max(0, j - 2k + 1)..j.  From j = 2k - 1 on that window is not clipped, so
+    it is combined by the same tree for every j, and column j has the bits of
+    column j - p once j >= 2k - 1 + p.  A round therefore calls _star on
+    columns k..2k - 2 + p only; the columns past them are copied from p back,
+    by doubling copies, as far as the next round reads them and at the end.
+    That is about 2n + p log2(n) star columns against n log2(n), and p = n is
+    the written-out scan."""
+    n = s.shape[1]
+    k, done = 1, n  # columns 0..done - 1 hold the values of the last round
+    while k < n:
+        m = min(n, 2 * k - 1 + p)
+        _repeat_columns(s, done, m, p)
+        s[:, k:m] = _star(s[:, :m - k], s[:, k:m])
+        k, done = 2 * k, m
+    _repeat_columns(s, done, n, p)
     return s
+
+
+def _repeat_columns(s, start, stop, p):
+    """Fill columns start..stop - 1 of s with the columns p before them, in
+    doubling copies from column start - p on."""
+    first = start - p
+    while start < stop:
+        width = min(start - first, stop - start)
+        s[:, start:start + width] = s[:, first:first + width]
+        start += width
 
 
 def unit_cell_matrix(chain: SlabChain, delta_brg, cfg: AtomResponseConfig,
@@ -467,11 +496,15 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
     At the end of gap j, with L the slabs 0..j and R the slabs after j, the
     field is E+ = t_L / (1 - r'_L r_R) and E- = r_R E+.  Star scans of the
     slabs and of the mirrored slabs give every L and R, and every factor
-    stays bounded however opaque the chain.  The samples inside the gaps are
-    then filled in vectorized blocks of slabs.  A block takes its sample
-    offsets and phases exp(i k_z s) from a table with one row per distinct
-    gap width in it, so a chain of few widths costs few exponentials, and the
-    table is never larger than the block.
+    stays bounded however opaque the chain.  The slab amplitudes and gap
+    phases are computed over the shortest prefix that the flat chain
+    repeats whole (_period) and tiled, and each scan round computes one such
+    period of columns (_prefixes), with the bits of the scan written out
+    over every slab.  The samples inside the gaps are then filled in
+    vectorized blocks of slabs.  A block takes its sample offsets and phases
+    exp(i k_z s) from a table with one row per distinct gap width in it, so
+    a chain of few widths costs few exponentials, and the table is never
+    larger than the block.
     """
     samples_per_gap = require_int("samples_per_gap", samples_per_gap)
     if samples_per_gap < 2:
@@ -485,14 +518,18 @@ def field_profile(chain: SlabChain, delta_brg: float, samples_per_gap: int,
     gapped = gaps > 0.0
 
     # E+ at the end of every gap; no slab follows the last, so its r_R is 0
-    exits = np.exp(1j * k_z * gaps)
-    slabs = _slabs(flat.surface_density, flat.stark_shift, delta, cfg, exits)
-    right = _prefixes(slabs[[2, 3, 0, 1], ::-1])[[2, 3, 0, 1], ::-1]
-    left = _prefixes(slabs)
-    r_right = np.append(right[0, 1:], 0.0)
+    p = _period(flat)
+    reps = flat.n_slabs // p
+    exits = np.exp(1j * k_z * gaps[:p])
+    cell = _slabs(flat.surface_density[:p], flat.stark_shift[:p], delta, cfg, exits)
+    exits, left, mirror = (np.tile(a, reps) if reps > 1 else a
+                           for a in (exits, cell, cell[[2, 3, 0, 1], ::-1]))
+    right = _prefixes(mirror, p)[2, ::-1]  # r of the slabs from j on
+    _prefixes(left, p)
+    r_right = np.append(right[1:], 0.0)
     e_plus = left[1] / (1.0 - left[2] * r_right)
-    first = abs(1.0 + right[0, 0]) ** 2
-    del slabs, left, right  # 8 complex per slab: not kept through the samples
+    first = abs(1.0 + right[0]) ** 2
+    del cell, left, mirror, right  # 8 complex per slab: not kept for the samples
 
     # samples across the gaps, at most PROFILE_BLOCK of them per numpy call
     g = gaps[gapped]

@@ -915,6 +915,17 @@ def test_field_profile_equals_reference_loop_bitwise(cfg, geom):
             assert np.max(np.abs(intensity / i_ref - 1.0)) <= 1e-11
 
 
+def _doubling_scan(s):
+    """The written-out inclusive star scan of (4, n) amplitudes by doubling
+    (Hillis-Steele): every round combines every column with the one k before."""
+    s = s.copy()
+    k = 1
+    while k < s.shape[1]:
+        s[:, k:] = _star(s[:, :-k], s[:, k:])
+        k *= 2
+    return s
+
+
 def _reference_block_profile(chain, delta, samples_per_gap, cfg, geom):
     """field_profile with one complex exponential per sample in each block."""
     flat = chain.repeated()
@@ -923,8 +934,8 @@ def _reference_block_profile(chain, delta, samples_per_gap, cfg, geom):
     gapped = gaps > 0.0
     exits = np.exp(1j * k_z * gaps)
     slabs = _slabs(flat.surface_density, flat.stark_shift, delta, cfg, exits)
-    right = _prefixes(slabs[[2, 3, 0, 1], ::-1])[[2, 3, 0, 1], ::-1]
-    left = _prefixes(slabs)
+    right = _doubling_scan(slabs[[2, 3, 0, 1], ::-1])[[2, 3, 0, 1], ::-1]
+    left = _doubling_scan(slabs)
     r_right = np.append(right[0, 1:], 0.0)
     e_plus = left[1] / (1.0 - left[2] * r_right)
     g = gaps[gapped]
@@ -985,6 +996,79 @@ def test_field_profile_equals_block_loop_bitwise(cfg, geom, seed, n, widths, zer
                                                 cfg, geom)
     assert z.tobytes() == z_ref.tobytes()
     assert intensity.tobytes() == i_ref.tobytes()
+
+
+def _gap_phases(chain, geom):
+    return np.exp(1j * (geom.k_brg * math.cos(geom.beta_i)) * chain.gap_after)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.3])
+def test_slab_amplitudes_keep_their_bits_past_16384_slabs(cfg, geom, delta):
+    # from 2^14 complex values on, numpy multiplies an unnamed temporary in
+    # place: iz * (g * g) * q was computed as (g * g) * iz, and with FMA the
+    # complex product does not commute bit for bit.  One period computed
+    # alone and tiled must have the bits of the whole chain
+    rng = np.random.default_rng(3)
+    stark = _random_flat_chain(rng, 17)
+    for cell, periods in ((bs.two_component_lattice(3e17, 0.2, 1, 10, geom), 1500),
+                          (stark, 1000)):
+        flat = bs.SlabChain(cell.surface_density, cell.stark_shift, cell.gap_after,
+                            periods=periods).repeated()
+        whole = _slabs(flat.surface_density, flat.stark_shift, delta * cfg.gamma,
+                       cfg, _gap_phases(flat, geom))
+        one = _slabs(cell.surface_density, cell.stark_shift, delta * cfg.gamma, cfg,
+                     _gap_phases(cell, geom))
+        assert whole.shape[1] > 1 << 14
+        assert whole.tobytes() == np.tile(one, periods).tobytes()
+
+
+@pytest.mark.parametrize("cell, periods", [
+    (1, 17_000), (1, 100),     # p = 1 on both sides of 2^14 columns
+    (11, 1500), (21, 600),     # proper divisors
+    (16_500, 1), (300, 1),     # p = n
+])
+def test_periodic_scan_equals_the_written_out_scan_bitwise(cfg, geom, cell, periods):
+    # any p that divides n and that the columns repeat: the shortest period,
+    # three of them, and n itself; on the slabs and on their mirror
+    chain = _random_flat_chain(np.random.default_rng(cell), cell)
+    s = np.tile(_slabs(chain.surface_density, chain.stark_shift, 0.4 * cfg.gamma, cfg,
+                       _gap_phases(chain, geom)), periods)
+    n = s.shape[1]
+    for inputs in (lambda: s.copy(), lambda: s[[2, 3, 0, 1], ::-1]):
+        expected = _doubling_scan(inputs()).tobytes()
+        for p in {q for q in (cell, 3 * cell, n) if n % q == 0}:
+            assert _prefixes(inputs(), p).tobytes() == expected, p
+
+
+def test_field_profile_scans_one_period_per_round(cfg, geom):
+    # a scan of n columns that repeat every p calls _star on at most
+    # 2n + p log2(n) columns (written out, n log2(n)); count them in both
+    # scans of the default chain
+    chain = bs.two_component_lattice(3e17, 0.2, 600, 20, geom)
+    n, p = chain.total_slabs, chain.n_slabs
+    columns = []
+
+    def counting_star(a, b):
+        columns.append(np.broadcast_shapes(np.shape(a[0]), np.shape(b[0]))[0])
+        return _star(a, b)
+
+    with mock.patch.object(engine, "_star", counting_star):
+        bs.field_profile(chain, 0.3 * cfg.gamma, 2, cfg, geom)
+    assert len(columns) == 2 * math.ceil(math.log2(n))
+    assert sum(columns) <= 2 * (2 * n + p * math.log2(n)), sum(columns)
+
+
+@pytest.mark.parametrize("periods, n_ss", [(600, 20), (1500, 10), (3000, 10)])
+def test_long_periodic_profiles_equal_the_written_out_scan_bitwise(cfg, geom, periods,
+                                                                   n_ss):
+    # 12,600, 16,500 and 33,000 slabs: one period of slab amplitudes and gap
+    # phases, tiled, and the periodic scans keep every bit of the whole chain
+    chain = bs.two_component_lattice(3e17, 0.2, periods, n_ss, geom)
+    for delta in (0.0, -1.3 * cfg.gamma):
+        z, intensity = bs.field_profile(chain, delta, 2, cfg, geom)
+        z_ref, i_ref = _reference_block_profile(chain, delta, 2, cfg, geom)
+        assert z.tobytes() == z_ref.tobytes()
+        assert intensity.tobytes() == i_ref.tobytes()
 
 
 def test_field_profile_memory_is_bounded_by_its_blocks(cfg, geom):
